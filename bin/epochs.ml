@@ -87,25 +87,6 @@ let trace_capacity_arg =
           "Ring-buffer capacity of the trace recorder, in events; the newest $(docv) events \
            are kept and older ones are dropped.")
 
-let shards_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Per-socket event-loop shard count. Defaults to \\$(b,EPOCHS_SHARDS) when set, else \
-           1 (the unsharded loop). Results are byte-identical at any shard count.")
-
-let epsilon_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "epsilon" ] ~docv:"NS"
-        ~doc:
-          "Relaxed-dispatch window in virtual ns (sharded loops only). Defaults to \
-           \\$(b,EPOCHS_EPSILON) when set, else 0 (exact dispatch). Relaxed results are \
-           digest-distinct from exact ones and are gated statistically, not byte-compared.")
-
 let churn_arg =
   Arg.(
     value
@@ -119,7 +100,7 @@ let churn_arg =
 
 let resolve_jobs = function Some j -> max 1 j | None -> Runtime.Pool.default_jobs ()
 
-let config ?shards ?epsilon ?churn ds smr alloc threads machine keys duration trials seed validate
+let config ?churn ds smr alloc threads machine keys duration trials seed validate
     timeline af_drain zipf =
   let topology =
     match Simcore.Topology.by_name machine with
@@ -144,8 +125,6 @@ let config ?shards ?epsilon ?churn ds smr alloc threads machine keys duration tr
     af_drain;
     key_dist =
       (match zipf with None -> Runtime.Config.Uniform | Some theta -> Runtime.Config.Zipf theta);
-    shards;
-    epsilon;
     churn;
   }
 
@@ -210,15 +189,9 @@ let print_trial (t : Runtime.Trial.t) ~timeline ~garbage =
 
 let run_cmd =
   let run ds smr alloc threads machine keys duration trials seed validate timeline garbage
-      af_drain zipf svg jobs trace trace_capacity shards epsilon churn =
-    (match shards with
-    | Some n when n < 1 -> failwith (Printf.sprintf "--shards must be at least 1, got %d" n)
-    | _ -> ());
-    (match epsilon with
-    | Some n when n < 0 -> failwith (Printf.sprintf "--epsilon must be non-negative, got %d" n)
-    | _ -> ());
+      af_drain zipf svg jobs trace trace_capacity churn =
     let cfg =
-      config ?shards ?epsilon ?churn ds smr alloc threads machine keys duration trials seed
+      config ?churn ds smr alloc threads machine keys duration trials seed
         validate timeline af_drain zipf
     in
     let trials =
@@ -255,7 +228,7 @@ let run_cmd =
       const run $ ds_arg $ smr_arg $ alloc_arg $ threads_arg $ machine_arg $ keys_arg
       $ duration_arg $ trials_arg $ seed_arg $ validate_arg $ timeline_arg $ garbage_arg
       $ drain_arg $ zipf_arg $ svg_arg $ jobs_arg $ trace_arg $ trace_capacity_arg
-      $ shards_arg $ epsilon_arg $ churn_arg)
+      $ churn_arg)
 
 let comma_list s = String.split_on_char ',' s |> List.map String.trim
 

@@ -90,7 +90,6 @@ let drain_pending t (th : Sched.thread) cls =
       done;
       if arena <> my_arena then begin
         th.Sched.metrics.Metrics.remote_frees <- th.Sched.metrics.Metrics.remote_frees + len;
-        Sched.sync_boundary th ~kind:Sched.sync_kind_remote;
         if Tracer.enabled tr then
           Tracer.instant tr Tracer.Remote_free ~tid:th.Sched.tid ~ts:(Sched.now th) ~a:len
             ~b:home

@@ -78,7 +78,6 @@ let flush_down t (th : Sched.thread) cls ~keep =
     done;
     Vec.drop_front tc n_flush;
     th.Sched.metrics.Metrics.remote_frees <- th.Sched.metrics.Metrics.remote_frees + n_flush;
-    Sched.sync_boundary th ~kind:Sched.sync_kind_remote;
     if Tracer.enabled tr then
       Tracer.instant tr Tracer.Remote_free ~tid:th.Sched.tid ~ts:(Sched.now th) ~a:n_flush
         ~b:cls;

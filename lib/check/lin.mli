@@ -40,11 +40,8 @@ val interleaving : t -> string
 (** The observed thread order of linearization points (schedule-digest
     ingredient). *)
 
-val check_set : ?slack:int -> t -> Oracle.violation list
-val check_stack : ?slack:int -> t -> Oracle.violation list
+val check_set : t -> Oracle.violation list
+val check_stack : t -> Oracle.violation list
 
-val check_queue : ?slack:int -> t -> Oracle.violation list
-(** Replay against the sequential model. Result mismatches are always
-    strict; [slack] (default 0) widens only the real-time order check for
-    epsilon-relaxed runs, where response/invocation timestamps within the
-    dispatch window have no defined order. *)
+val check_queue : t -> Oracle.violation list
+(** Replay against the sequential model, then check real-time order. *)

@@ -25,8 +25,8 @@ type t = {
 (* Scenario schedulers default to the paper's machine but honour the
    EPOCHS_CHECK_MACHINE env var, so the checker can run on the tiny
    4-socket topology where a handful of threads spans several sockets and
-   sharded / epsilon-relaxed dispatch paths are exercised non-vacuously
-   (on intel_192t a checkable workload lands entirely on socket 0). *)
+   the cross-socket cost paths are exercised (on intel_192t a checkable
+   workload lands entirely on socket 0). *)
 let machine_env_var = "EPOCHS_CHECK_MACHINE"
 
 let check_topology () =
@@ -116,11 +116,9 @@ let run_sim ~name ~ds_name ~smr_name ~params ~tracer ~seed ~(recorder : Strategy
   Sched.set_controller sched (Some recorder.Strategy.controller);
   Sched.set_tracer sched tracer;
   (* The leak allocator never recycles handles, so every free is visible
-     to the grace-period validator exactly once. The validator and the
-     linearizability oracle take the effective epsilon as slack: under
-     relaxed dispatch timestamps within the window have no defined order. *)
+     to the grace-period validator exactly once. *)
   let alloc = Alloc.Registry.make "leak" sched in
-  let safety = Smr.Safety.create ~slack:(Sched.epsilon sched) ~n () in
+  let safety = Smr.Safety.create ~n () in
   let base_smr, af = Smr.Smr_registry.parse smr_name in
   let mode = if af then Smr.Free_policy.Amortized 1 else Smr.Free_policy.Batch in
   let policy = Smr.Free_policy.create ~safety ~mode ~alloc ~n () in
@@ -298,7 +296,7 @@ let run_sim ~name ~ds_name ~smr_name ~params ~tracer ~seed ~(recorder : Strategy
              detail = Format.asprintf "%a" Smr.Safety.pp_violation v;
            })
        (Smr.Safety.violations safety);
-     List.iter add (Lin.check_set ~slack:(Sched.epsilon sched) lin);
+     List.iter add (Lin.check_set lin);
      (try ds.Ds.Ds_intf.check_invariants ()
       with Invalid_argument msg ->
         add { Oracle.oracle = Oracle.ds_invariant; detail = msg });

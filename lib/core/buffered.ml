@@ -44,7 +44,6 @@ let reclamation_pass t (th : Sched.thread) st =
   let signals = t.spec.signals_per_pass ~n in
   Sched.work_n th Metrics.Smr ~per:cost.Cost_model.signal ~count:signals;
   th.Sched.metrics.Metrics.epochs <- th.Sched.metrics.Metrics.epochs + 1;
-  Sched.sync_boundary th ~kind:Sched.sync_kind_epoch;
   (let tr = Sched.tracer th.Sched.sched in
    if Tracer.enabled tr then begin
      Tracer.instant tr Tracer.Epoch_advance ~tid:th.Sched.tid ~ts:(Sched.now th)

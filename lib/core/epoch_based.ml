@@ -93,7 +93,6 @@ let try_advance t st (th : Sched.thread) e =
         t.epoch <- e + 1;
         Contention.charge th cost.Cost_model.announce;
         th.Sched.metrics.Metrics.epochs <- th.Sched.metrics.Metrics.epochs + 1;
-        Sched.sync_boundary th ~kind:Sched.sync_kind_epoch;
         (let tr = Sched.tracer th.Sched.sched in
          if Tracer.enabled tr then
            Tracer.instant tr Tracer.Epoch_advance ~tid:th.Sched.tid ~ts:(Sched.now th)

@@ -141,7 +141,6 @@ let scan t (th : Sched.thread) st =
   st.keep_time <- rt;
   th.Sched.metrics.Metrics.hp_scans <- th.Sched.metrics.Metrics.hp_scans + 1;
   th.Sched.metrics.Metrics.epochs <- th.Sched.metrics.Metrics.epochs + 1;
-  Sched.sync_boundary th ~kind:Sched.sync_kind_epoch;
   (let tr = Sched.tracer th.Sched.sched in
    if Tracer.enabled tr then begin
      Tracer.instant tr Tracer.Epoch_advance ~tid ~ts:(Sched.now th)

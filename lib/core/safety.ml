@@ -17,23 +17,20 @@ type violation = { handle : int; retired_at : int; freed_at : int; blocking_thre
 
 type t = {
   n : int;
-  slack : int;  (* epsilon-relaxed runs: tolerated clock skew, ns (0 = exact) *)
   op_begin : int array;  (* per thread: virtual time its current op began *)
   mutable retire_time : int array;  (* dense by handle; -1 = never retired *)
   mutable violations : violation list;
   mutable checked_frees : int;
 }
 
-(* [slack] widens the grace-period check for relaxed (epsilon > 0) dispatch:
-   thread clocks may disagree by up to epsilon, so an op-begin timestamp
-   within [slack] of the retire time is not evidence of a violation — the
-   two events have no defined order under the relaxation. Exact runs pass
-   [slack = 0] (the default) and check the strict rule. *)
+(* [slack] remains only because perfbench/span.ml passes [Sched.epsilon]. *)
 let create ?(slack = 0) ~n () =
-  if slack < 0 then invalid_arg "Safety.create: slack must be non-negative";
+  if slack <> 0 then
+    invalid_arg
+      (Printf.sprintf "Safety.create: slack = %d is not supported; dispatch is exact (only 0)"
+         slack);
   {
     n;
-    slack;
     op_begin = Array.make n (-1);
     retire_time = Array.make 1024 (-1);
     violations = [];
@@ -42,8 +39,9 @@ let create ?(slack = 0) ~n () =
 
 let note_op_begin t ~tid ~time = t.op_begin.(tid) <- time
 
-(* A thread that has left the workload loop is permanently quiescent: it can
-   never again hold a reference, so it must not block frees. *)
+(* A quiescent thread holds no reference until its next [note_op_begin]: it
+   has left the workload loop (until a respawn) or is inside [begin_op]. It
+   must not block frees. *)
 let note_quiescent t ~tid = t.op_begin.(tid) <- max_int
 
 let ensure t h =
@@ -73,7 +71,7 @@ let check_free t ~tid ~handle ~time =
         if
           j <> tid
           && t.op_begin.(j) >= 0
-          && t.op_begin.(j) < retired_at - t.slack
+          && t.op_begin.(j) < retired_at
           && t.op_begin.(j) <> max_int
         then
           t.violations <-

@@ -20,18 +20,16 @@ type violation = {
 type t
 
 val create : ?slack:int -> n:int -> unit -> t
-(** [slack] (default 0) widens the grace-period rule for epsilon-relaxed
-    dispatch: an op that began within [slack] ns before a retire is not
-    counted as blocking it, because under a relaxed schedule the two
-    timestamps have no defined order within the epsilon window. Exact runs
-    keep [slack = 0] and the strict rule.
-    @raise Invalid_argument when [slack < 0]. *)
+(** [slack] is a compatibility parameter kept for [perfbench/span.ml]
+    (which passes {!Simcore.Sched.epsilon}); only [0] is accepted.
+    @raise Invalid_argument when [slack <> 0]. *)
 
 val note_op_begin : t -> tid:int -> time:int -> unit
 (** Record that thread [tid]'s current operation began at [time]. *)
 
 val note_quiescent : t -> tid:int -> unit
-(** Thread [tid] left the workload loop and can never hold a reference. *)
+(** Thread [tid] holds no reference until its next {!note_op_begin}: it left
+    the workload loop (until it respawns) or is inside [begin_op]. *)
 
 val note_retire : t -> handle:int -> time:int -> unit
 

@@ -74,9 +74,29 @@ let parse name =
   | Some base -> (base, true)
   | None -> (name, false)
 
+(* A thread inside [begin_op] holds no reference yet, however long it
+   stays there: Token-EBR frees a whole bag inside [begin_op] and may pass
+   the token mid-free. So, for the validator, the thread is quiescent until
+   [begin_op] returns, and its operation begins then. Wrapping here covers
+   every caller of [make], whatever loop drives the reclaimer. *)
+let validated (ctx : Smr_intf.ctx) (smr : Smr_intf.t) =
+  match ctx.Smr_intf.safety with
+  | Some s when smr.Smr_intf.uses_grace_periods ->
+      let begin_op = smr.Smr_intf.begin_op in
+      {
+        smr with
+        Smr_intf.begin_op =
+          (fun th ->
+            let tid = th.Simcore.Sched.tid in
+            Safety.note_quiescent s ~tid;
+            begin_op th;
+            Safety.note_op_begin s ~tid ~time:(Simcore.Sched.now th));
+      }
+  | Some _ | None -> smr
+
 let make ?(token_period = 100) ?(buffer_size = 384) ?(debra_check_every = 3) name ctx =
   match List.find_opt (fun (n, _, _) -> n = name) table with
-  | Some (_, _, mk) -> mk { token_period; buffer_size; debra_check_every } ctx
+  | Some (_, _, mk) -> validated ctx (mk { token_period; buffer_size; debra_check_every } ctx)
   | None ->
       invalid_arg
         (Printf.sprintf

@@ -30,6 +30,9 @@ val make :
   Smr_intf.t
 (** Instantiate a reclaimer by base name (any member of {!names}). The
     AF/batch choice lives in the context's {!Free_policy.t}; [buffer_size]
-    doubles as the ["hazard"] scan threshold.
+    doubles as the ["hazard"] scan threshold. With a validator in the
+    context, a grace-period reclaimer's [begin_op] reports the thread
+    quiescent on entry and dates its operation from the moment [begin_op]
+    returns: a thread inside [begin_op] holds no reference yet.
     @raise Invalid_argument on an unknown name (the message lists the
     valid names). *)

@@ -61,17 +61,10 @@ type t = {
          the experiment definition and — like [alloc_config] and [cost] —
          never appears in manifests. *)
   shards : int option;
-      (* per-socket event-loop shard count; [None] defers to
-         [Sched.default_shards] (the EPOCHS_SHARDS env var, else 1).
-         Every shard count produces byte-identical canonical results, so
-         like [event_queue] this never appears in manifests. *)
   epsilon : int option;
-      (* relaxed-dispatch window, virtual ns; [None] defers to
-         [Sched.default_epsilon] (the EPOCHS_EPSILON env var, else 0 =
-         exact). Relaxed results are digest-DISTINCT and gated
-         statistically (simbench equiv), never byte-compared, so this is
-         run infrastructure like [shards] and never appears in manifests —
-         a blessed baseline must pin its epsilon out of band. *)
+      (* compatibility fields read by perfbench/span.ml and passed to
+         [Sched.create], which accepts only [None], [Some 1] shards and
+         [Some 0] epsilon; never in manifests *)
   churn : churn option;
       (* thread-churn plan, [None] = static population (all pre-churn
          behaviour and manifests unchanged) *)
@@ -189,7 +182,7 @@ let churn_of_spec spec =
 
 (* Expand the plan into per-tid (retire, respawn) offsets relative to the
    start of the measured window; [max_int] = never. The schedule is a pure
-   function of the config, so every worker, shard and queue sees the same
+   function of the config, so every worker and queue kind sees the same
    one — churn determinism rests on this. *)
 let churn_schedule cfg =
   match cfg.churn with

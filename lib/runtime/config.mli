@@ -54,14 +54,10 @@ type t = {
           {!Simcore.Event_queue.default_kind}. Bit-identical either way,
           so not manifest-expressible (like [alloc_config] and [cost]) *)
   shards : int option;
-      (** per-socket event-loop shard count; [None] defers to
-          {!Simcore.Sched.default_shards}. Byte-identical results at any
-          shard count, so not manifest-expressible either *)
   epsilon : int option;
-      (** relaxed-dispatch window, virtual ns; [None] defers to
-          {!Simcore.Sched.default_epsilon} (0 = exact). Relaxed results
-          are digest-distinct and gated statistically, so this is run
-          infrastructure, never manifest-expressible *)
+      (** compatibility fields read by [perfbench/span.ml] and passed to
+          {!Simcore.Sched.create}, which accepts only [None], [Some 1]
+          shards and [Some 0] epsilon; never manifest-expressible *)
   churn : churn option;
       (** thread-churn plan; [None] = static population (all pre-churn
           behaviour, labels and manifests unchanged) *)
@@ -84,7 +80,7 @@ val churn_of_spec : string -> churn
 val churn_schedule : t -> (int array * int array) option
 (** Expand the plan into per-tid [(retire, respawn)] offsets relative to
     the start of the measured window; [max_int] = never. A pure function
-    of the config, so every worker, shard and queue derives the same
+    of the config, so every worker and queue kind derives the same
     schedule — churn determinism rests on this. *)
 
 (** {1 Manifest serialization}

@@ -71,20 +71,6 @@ let[@inline] pop_le_default t ~bound =
 let[@inline] has_le t ~bound =
   match t with H h -> Heap.has_le h ~bound | W w -> Wheel.has_le w ~bound
 
-(* Head peeks for the sharded dispatch loop's tournament merge: the
-   queue's minimal (key, seq) without removal, [max_int] when empty.
-   [head_seq] is meaningful immediately after [head_key] returned a
-   non-[max_int] key (the wheel stages its minimum on the [head_key]
-   call; the heap reads its root either way). *)
-let[@inline] head_key t =
-  match t with H h -> Heap.head_key h | W w -> Wheel.head_key w
-
-let[@inline] head_seq t =
-  match t with H h -> Heap.head_seq h | W w -> Wheel.head_seq w
-
-let[@inline] head_task t =
-  match t with H h -> Heap.head_task h | W w -> Wheel.head_task w
-
 (* First-class-module view of the two implementations, for tests and
    benchmarks that want to run the same scenario against each directly. *)
 module type S = sig
@@ -99,9 +85,6 @@ module type S = sig
   val pop_le : 'a q -> bound:int -> 'a option
   val pop_le_default : 'a q -> bound:int -> 'a
   val has_le : 'a q -> bound:int -> bool
-  val head_key : 'a q -> int
-  val head_seq : 'a q -> int
-  val head_task : 'a q -> 'a
 end
 
 module Heap_impl : S = struct
@@ -116,9 +99,6 @@ module Heap_impl : S = struct
   let pop_le = Heap.pop_le
   let pop_le_default = Heap.pop_le_default
   let has_le = Heap.has_le
-  let head_key = Heap.head_key
-  let head_seq = Heap.head_seq
-  let head_task = Heap.head_task
 end
 
 module Wheel_impl : S = struct
@@ -133,7 +113,4 @@ module Wheel_impl : S = struct
   let pop_le = Wheel.pop_le
   let pop_le_default = Wheel.pop_le_default
   let has_le = Wheel.has_le
-  let head_key = Wheel.head_key
-  let head_seq = Wheel.head_seq
-  let head_task = Wheel.head_task
 end

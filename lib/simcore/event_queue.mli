@@ -47,21 +47,6 @@ val has_le : 'a t -> bound:int -> bool
     later, never [false] when one exists) — the contract the scheduler's
     checkpoint fast path needs. *)
 
-val head_key : 'a t -> int
-(** The minimal key, or [max_int] when empty — exact under both kinds
-    (the wheel stages its minimum to answer). Allocation-free; the
-    sharded dispatch loop's tournament merge runs on this. *)
-
-val head_seq : 'a t -> int
-(** The minimal element's tie-break sequence, or [max_int] when empty.
-    Read it immediately after {!head_key}: the pair is the queue's head
-    in the scheduler's total [(key, seq)] order. *)
-
-val head_task : 'a t -> 'a
-(** The minimal element's payload without removal, or the dummy sentinel
-    when empty (compare physically). Same validity contract as
-    {!head_seq}: read it immediately after {!head_key}. *)
-
 (** Common signature over the two implementations, for tests/benchmarks
     driving each directly. *)
 module type S = sig
@@ -76,9 +61,6 @@ module type S = sig
   val pop_le : 'a q -> bound:int -> 'a option
   val pop_le_default : 'a q -> bound:int -> 'a
   val has_le : 'a q -> bound:int -> bool
-  val head_key : 'a q -> int
-  val head_seq : 'a q -> int
-  val head_task : 'a q -> 'a
 end
 
 module Heap_impl : S

@@ -101,12 +101,6 @@ let take t =
 let pop t = if t.len = 0 then None else Some (take t)
 let peek_key t = if t.len = 0 then None else Some t.keys.(0)
 
-(* Allocation-free head peeks for the sharded dispatch loop's tournament
-   merge: the root's (key, seq) without removing it. *)
-let[@inline] head_key t = if t.len = 0 then max_int else Array.unsafe_get t.keys 0
-let[@inline] head_seq t = if t.len = 0 then max_int else Array.unsafe_get t.seqs 0
-let[@inline] head_task t = if t.len = 0 then t.dummy else Array.unsafe_get t.data 0
-
 (* The scheduler's event-loop fast path: pop the minimum element only when
    its key is within [bound], in one call instead of a [peek_key] followed
    by a [pop]. *)

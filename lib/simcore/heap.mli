@@ -43,16 +43,3 @@ val pop_le_default : 'a t -> bound:int -> 'a
 val has_le : 'a t -> bound:int -> bool
 (** Whether some element has key [<= bound] (exact, O(1)). *)
 
-val head_key : 'a t -> int
-(** The minimum key, or [max_int] when empty — the allocation-free peek
-    the sharded dispatch loop's tournament merge runs on. *)
-
-val head_seq : 'a t -> int
-(** The minimum element's tie-break sequence, or [max_int] when empty.
-    Meaningful together with {!head_key}: the pair is the heap's head in
-    the scheduler's total [(key, seq)] order. *)
-
-val head_task : 'a t -> 'a
-(** The minimum element's payload without removal, or the dummy sentinel
-    when empty (compare physically). Same validity contract as
-    {!head_seq}. *)

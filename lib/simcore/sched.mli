@@ -31,7 +31,6 @@ type task
 and thread = {
   tid : int;
   socket : int;  (** socket under the paper's pinning policy *)
-  shard : int;  (** dispatch shard ([socket mod shards]); 0 when unsharded *)
   core : int;
   cpu_factor : float;  (** >1 when sharing a physical core (SMT) *)
   rng : Rng.t;  (** thread-private random stream *)
@@ -47,9 +46,6 @@ and thread = {
   mutable pending : (unit, unit) Effect.Deep.continuation option;
       (** parked continuation while enqueued or suspended *)
   mutable suspended : bool;  (** blocked on {!suspend}, waiting for {!ready} *)
-  mutable sync_required : bool;
-      (** relaxed dispatch only: a hard sync boundary was crossed, so this
-          thread's next dispatch must be exact-order (see {!sync_boundary}) *)
   mutable resume_task : task;  (** this thread's resume cell, allocated once *)
   mutable alive : bool;  (** false between {!retire} and the next {!respawn} *)
   mutable spawn_pending : bool;
@@ -61,23 +57,6 @@ and thread = {
 }
 
 and t
-
-val shards_env_var : string
-(** ["EPOCHS_SHARDS"]. *)
-
-val default_shards : unit -> int
-(** The shard count named by [EPOCHS_SHARDS], or [1] (the classic global
-    event loop) when unset/empty.
-    @raise Invalid_argument when the variable is not a positive integer. *)
-
-val epsilon_env_var : string
-(** ["EPOCHS_EPSILON"]. *)
-
-val default_epsilon : unit -> int
-(** The relaxed-dispatch window (virtual ns) named by [EPOCHS_EPSILON], or
-    [0] (exact dispatch) when unset/empty.
-    @raise Invalid_argument when the variable is not a non-negative
-    integer. *)
 
 val create :
   ?cost:Cost_model.t ->
@@ -99,21 +78,10 @@ val create :
     wheel unless [EPOCHS_EVENT_QUEUE] says otherwise). Both kinds produce
     bit-identical runs.
 
-    [shards] partitions the event loop into per-socket shards (threads map
-    to shard [socket mod shards]) dispatched as an exact tournament merge;
-    the default comes from {!default_shards} (the global loop unless
-    [EPOCHS_SHARDS] says otherwise). Any shard count produces runs whose
-    canonical results are byte-identical to [shards:1] — shards beyond the
-    sockets in use simply stay empty and are skipped by the merge.
-
-    [epsilon] relaxes the merge: each shard may run ahead of the other
-    shards' minimal head by up to [epsilon] virtual ns before yielding to
-    the tournament, synchronizing hard at the boundaries marked by
-    {!sync_boundary}. The default comes from {!default_epsilon} ([0] =
-    exact dispatch, preserving every pinned digest). Relaxed runs are
-    digest-{e distinct}; their validity gate is statistical
-    ([simbench equiv]), not byte comparison.
-    @raise Invalid_argument when [shards < 1], [epsilon < 0] or
+    [shards] and [epsilon] are compatibility parameters kept for
+    [perfbench/span.ml]: the scheduler is one exact dispatch loop, so only
+    [shards = 1] and [epsilon = 0] (or omitting them) are accepted.
+    @raise Invalid_argument when [shards <> 1], [epsilon <> 0] or
     [n_threads <= 0]. *)
 
 val threads : t -> thread array
@@ -122,12 +90,8 @@ val thread : t -> int -> thread
 val event_queue : t -> Event_queue.kind
 (** Which event-queue implementation this scheduler dispatches from. *)
 
-val shards : t -> int
-(** How many event-loop shards this scheduler dispatches over (1 = the
-    classic global loop). *)
-
 val epsilon : t -> int
-(** The relaxed-dispatch window in virtual ns (0 = exact dispatch). *)
+(** Always [0]: dispatch is exact. Kept for [perfbench/span.ml]. *)
 
 val cost : t -> Cost_model.t
 val topology : t -> Topology.t
@@ -184,26 +148,6 @@ val atomic_exit : thread -> unit
     fresh closure per call. Callers must guarantee [atomic_exit] runs on
     every path out of the block, including exceptional ones. *)
 
-val sync_kind_lock : int
-val sync_kind_epoch : int
-
-val sync_kind_remote : int
-(** Payload codes carried by the [Epsilon_sync] trace instant: lock
-    acquire/handoff, epoch advance, remote free/flush. *)
-
-val sync_boundary : thread -> kind:int -> unit
-(** Arm a hard synchronization point under relaxed dispatch: the calling
-    thread's next dispatch must be exact-order (no epsilon run-ahead).
-    Called at lock acquires and cross-shard lock handoffs ({!Sim_mutex}),
-    epoch advances (the SMR cores) and remote frees/flushes into another
-    thread's home (the allocator models) — the events whose cross-shard
-    causality the relaxation must never reorder. Arm-only: no yield is
-    injected (boundary sites sit inside non-checkpoint-safe protocol
-    code); the next checkpoint and the dispatch loop honour the flag, and
-    the loop clears it on the thread's next exact-order dispatch. Counted
-    in [epsilon_syncs] and traced as [Epsilon_sync] with [a = kind]. A
-    branch-only no-op in exact mode or on an unsharded loop. *)
-
 val suspend : thread -> unit
 (** Block until {!ready}. *)
 
@@ -234,9 +178,8 @@ val retire : t -> tid:int -> unit
 val respawn : t -> tid:int -> at:int -> (thread -> unit) -> unit
 (** Schedule a retired thread to rejoin at virtual time [at]: its downtime
     is charged as idle up front (the clock reads [at] when the spawn event
-    pops), and the spawn event dispatches through the normal queues, so
-    respawns are bit-identical across shard counts, queue kinds and host
-    [-j]. The body runs cold: caches and SMR slots were torn down at
+    pops), and the spawn event dispatches through the normal queue, so
+    respawns are bit-identical across queue kinds and host [-j]. The body runs cold: caches and SMR slots were torn down at
     retirement. Counts one [thread_spawns] and traces [Thread_spawn].
     @raise Failure on an unknown tid, a tid that is still alive, a respawn
     already scheduled for this tid, or [at] before the thread's clock. *)

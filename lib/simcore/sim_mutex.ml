@@ -50,11 +50,6 @@ let wake_cost (cost : Cost_model.t) m (th : Sched.thread) =
    the waiting ns charged, [Lock_acquire] exactly the wake+transfer overhead
    — so the profiler can rebuild [lock_ns] bit-exactly from the trace. *)
 let lock m (th : Sched.thread) =
-  (* Lock acquisition is a hard sync boundary under relaxed dispatch: arm
-     exact-order before the checkpoint, so the acquire is merged at its
-     true global position and the FIFO queue order cannot be built on a
-     run-ahead schedule. *)
-  Sched.sync_boundary th ~kind:Sched.sync_kind_lock;
   Sched.checkpoint th;
   let cost = Sched.cost th.Sched.sched in
   m.acquires <- m.acquires + 1;
@@ -129,11 +124,6 @@ let unlock m (th : Sched.thread) =
           Tracer.instant tr Tracer.Lock_wait ~tid:w.Sched.tid ~ts:(Sched.now w) ~a:wait
             ~b:(Tracer.intern tr m.name)
       end;
-      (* A handoff that crosses shards is a causal edge between shards: the
-         waiter must resume in exact order, not inside its shard's epsilon
-         window ahead of the release it depends on. *)
-      if w.Sched.shard <> th.Sched.shard then
-        Sched.sync_boundary w ~kind:Sched.sync_kind_lock;
       Sched.ready w
 
 let with_lock m th f =

@@ -26,10 +26,10 @@ val amd_256c : t
 (** Appendix E.2: 2-socket, 256-thread AMD machine. *)
 
 val tiny_8t : t
-(** A tiny 4-socket, 8-thread machine for cross-shard test coverage:
-    checkable-scale workloads span several sockets on it, so sharded and
-    relaxed dispatch paths are exercised non-vacuously. Not in {!all} —
-    it describes no measured system. *)
+(** A tiny 4-socket, 8-thread machine for cross-socket test coverage:
+    checkable-scale workloads span several sockets on it, so remote frees
+    and socket failover are exercised non-vacuously. Not in {!all} — it
+    describes no measured system. *)
 
 val by_name : string -> t option
 (** Lookup by name or alias ("intel", "intel144", "amd", "tiny"). *)

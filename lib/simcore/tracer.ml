@@ -46,20 +46,17 @@ type kind =
   | Measure_start  (* instant: this thread's measured window opened *)
   | Thread_end  (* instant: this thread's final virtual clock *)
   | Yield  (* instant: a checkpoint; a = 1 performed yield, 0 elided *)
-  | Shard_sync  (* instant: sharded dispatch resumed this thread across a shard
-                   boundary; a = shard index *)
   | Hp_protect  (* instant: a hazard-pointer protect loop retried; a = retries *)
   | Hp_scan  (* span: one hazard-pointer retire-list scan; a = objects freed,
                 b = retire-list length at scan entry *)
-  | Epsilon_window  (* instant: relaxed dispatch granted an event past the exact
-                       bound; a = skew ns past the bound, b = shard index *)
-  | Epsilon_sync  (* instant: a hard sync boundary armed under relaxed dispatch;
-                     a = boundary kind (1 lock, 2 epoch advance, 3 remote free) *)
   | Thread_spawn  (* instant: a thread (re)joined the population mid-trial *)
   | Thread_retire  (* instant: a thread retired; its teardown chain follows *)
   | Teardown_flush  (* span: one teardown cache flush / adoption pass;
                        a = objects moved out of the dying thread's caches *)
 
+(* Codes are explicit and never reused: 20, 23 and 24 belonged to kinds of
+   the removed sharded/relaxed dispatch loop, and renumbering the rest
+   would change every traced digest. *)
 let code = function
   | Run -> 0
   | Stall -> 1
@@ -81,11 +78,8 @@ let code = function
   | Measure_start -> 17
   | Thread_end -> 18
   | Yield -> 19
-  | Shard_sync -> 20
   | Hp_protect -> 21
   | Hp_scan -> 22
-  | Epsilon_window -> 23
-  | Epsilon_sync -> 24
   | Thread_spawn -> 25
   | Thread_retire -> 26
   | Teardown_flush -> 27
@@ -111,11 +105,8 @@ let of_code = function
   | 17 -> Measure_start
   | 18 -> Thread_end
   | 19 -> Yield
-  | 20 -> Shard_sync
   | 21 -> Hp_protect
   | 22 -> Hp_scan
-  | 23 -> Epsilon_window
-  | 24 -> Epsilon_sync
   | 25 -> Thread_spawn
   | 26 -> Thread_retire
   | 27 -> Teardown_flush
@@ -142,11 +133,8 @@ let kind_name = function
   | Measure_start -> "measure_start"
   | Thread_end -> "thread_end"
   | Yield -> "yield"
-  | Shard_sync -> "shard_sync"
   | Hp_protect -> "hp_protect"
   | Hp_scan -> "hp_scan"
-  | Epsilon_window -> "epsilon_window"
-  | Epsilon_sync -> "epsilon_sync"
   | Thread_spawn -> "thread_spawn"
   | Thread_retire -> "thread_retire"
   | Teardown_flush -> "teardown_flush"

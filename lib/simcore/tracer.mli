@@ -37,20 +37,12 @@
     - [Yield]: instant at every scheduler checkpoint, [a] = 1 when the
       yield was performed, 0 when it was elided (the thread stayed the
       minimum and ran straight through) — the [yields]/[elided_yields]
-      counters. [Shard_sync]: instant when the sharded dispatch loop
-      resumes a thread across a shard boundary (the [shard_syncs]
-      counter), [a] = the resuming thread's shard index.
+      counters.
     - [Hp_protect]: instant when a hazard-pointer protect/validate loop had
       to retry, [a] = retries charged (the [hp_protect_retries] counter).
       [Hp_scan]: span of one hazard-pointer retire-list scan (the
       [hp_scans] counter), [a] = objects found reclaimable, [b] =
       retire-list length at scan entry.
-    - [Epsilon_window]: instant when relaxed dispatch granted an event past
-      the exact merge bound (the [epsilon_windows] counter), [a] = skew ns
-      past the bound (its maximum is [max_skew_ns]), [b] = shard index.
-      [Epsilon_sync]: instant when a hard sync boundary was armed under
-      relaxed dispatch (the [epsilon_syncs] counter), [a] = boundary kind
-      (1 lock acquire/handoff, 2 epoch advance, 3 remote free/flush).
     - [Thread_spawn]: instant when a thread (re)joins the population
       mid-trial (the [thread_spawns] counter). [Thread_retire]: instant
       when a thread retires, emitted before its teardown hook chain runs
@@ -78,11 +70,8 @@ type kind =
   | Measure_start
   | Thread_end
   | Yield
-  | Shard_sync
   | Hp_protect
   | Hp_scan
-  | Epsilon_window
-  | Epsilon_sync
   | Thread_spawn
   | Thread_retire
   | Teardown_flush

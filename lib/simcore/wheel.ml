@@ -427,21 +427,6 @@ let peek_key t =
   else if next_ready t ~bound:max_int then Some t.st_keys.(0)
   else None
 
-(* Allocation-free head peeks for the sharded dispatch loop's tournament
-   merge. [head_key] advances the internal hand to stage the minimum
-   (semantically invisible, like [peek_key]); with [count > 0] and an
-   unbounded advance the staging heap is guaranteed non-empty afterwards,
-   so [head_seq] immediately after [head_key] reads the same element. *)
-let head_key t =
-  if t.count = 0 then max_int
-  else begin
-    ignore (next_ready t ~bound:max_int : bool);
-    t.st_keys.(0)
-  end
-
-let head_seq t = if t.st_len = 0 then max_int else t.st_seqs.(0)
-let head_task t = if t.st_len = 0 then t.dummy else t.st_data.(0)
-
 (* Conservative emptiness-below-bound test for the scheduler's checkpoint
    fast path. Exact when the staging window is non-empty (staging holds the
    earliest events); otherwise bucket *starts* are compared against

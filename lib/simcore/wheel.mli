@@ -62,17 +62,3 @@ val has_le : 'a t -> bound:int -> bool
     but never [false] when one exists. O(occupancy words), no cascading —
     cheap enough for every scheduler checkpoint. *)
 
-val head_key : 'a t -> int
-(** The minimum key, or [max_int] when empty. May advance the wheel's
-    internal hand to stage the minimum (semantically invisible, like
-    {!peek_key}) but allocates nothing. *)
-
-val head_seq : 'a t -> int
-(** The staged minimum's tie-break sequence, or [max_int] when nothing is
-    staged. Meaningful immediately after {!head_key} returned a
-    non-[max_int] key: the pair is the wheel's head in the scheduler's
-    total [(key, seq)] order. *)
-
-val head_task : 'a t -> 'a
-(** The staged minimum's payload, or the dummy sentinel when nothing is
-    staged (compare physically). Same validity contract as {!head_seq}. *)

@@ -3,8 +3,7 @@ open Simcore
 (* Scheduler-state events live in their own process lane so Perfetto shows
    the run/stall/preempt timeline above the workload events. *)
 let pid_of_kind = function
-  | Tracer.Run | Tracer.Stall | Tracer.Preempt | Tracer.Yield | Tracer.Shard_sync
-  | Tracer.Epsilon_window | Tracer.Epsilon_sync -> 1
+  | Tracer.Run | Tracer.Stall | Tracer.Preempt | Tracer.Yield -> 1
   | _ -> 0
 
 let is_lock_kind = function

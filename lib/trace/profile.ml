@@ -29,10 +29,6 @@ type t = {
   af_drained : int;
   yields : int;
   elided_yields : int;
-  shard_syncs : int;
-  epsilon_windows : int;
-  epsilon_syncs : int;
-  max_skew_ns : int;
   hp_scans : int;
   hp_scan_ns : int;
   hp_freed : int;
@@ -95,10 +91,6 @@ let of_tracer tr =
   and af_drained = ref 0
   and yields = ref 0
   and elided_yields = ref 0
-  and shard_syncs = ref 0
-  and epsilon_windows = ref 0
-  and epsilon_syncs = ref 0
-  and max_skew_ns = ref 0
   and hp_scans = ref 0
   and hp_scan_ns = ref 0
   and hp_freed = ref 0
@@ -151,11 +143,6 @@ let of_tracer tr =
             reclaimed := !reclaimed + e.Tracer.a
         | Tracer.Af_drain -> af_drained := !af_drained + e.Tracer.a
         | Tracer.Yield -> if e.Tracer.a = 1 then incr yields else incr elided_yields
-        | Tracer.Shard_sync -> incr shard_syncs
-        | Tracer.Epsilon_window ->
-            incr epsilon_windows;
-            max_skew_ns := max !max_skew_ns e.Tracer.a
-        | Tracer.Epsilon_sync -> incr epsilon_syncs
         | Tracer.Hp_scan ->
             incr hp_scans;
             hp_scan_ns := !hp_scan_ns + e.Tracer.dur;
@@ -213,10 +200,6 @@ let of_tracer tr =
     af_drained = !af_drained;
     yields = !yields;
     elided_yields = !elided_yields;
-    shard_syncs = !shard_syncs;
-    epsilon_windows = !epsilon_windows;
-    epsilon_syncs = !epsilon_syncs;
-    max_skew_ns = !max_skew_ns;
     hp_scans = !hp_scans;
     hp_scan_ns = !hp_scan_ns;
     hp_freed = !hp_freed;
@@ -247,11 +230,7 @@ let pp ppf p =
     p.splices;
   Fmt.pf ppf "@,reclaim passes %d (%d objects), amortized drain %d objects" p.reclaims
     p.reclaimed p.af_drained;
-  Fmt.pf ppf "@,yields %d performed, %d elided, %d shard syncs" p.yields p.elided_yields
-    p.shard_syncs;
-  if p.epsilon_windows > 0 || p.epsilon_syncs > 0 then
-    Fmt.pf ppf "@,epsilon windows %d granted, %d sync boundaries, max skew %d ns"
-      p.epsilon_windows p.epsilon_syncs p.max_skew_ns;
+  Fmt.pf ppf "@,yields %d performed, %d elided" p.yields p.elided_yields;
   if p.hp_scans > 0 || p.hp_protect_retries > 0 then
     Fmt.pf ppf "@,hazard scans %d (%.3f ms, %d objects reclaimable), protect retries %d"
       p.hp_scans (ms p.hp_scan_ns) p.hp_freed p.hp_protect_retries;
@@ -293,10 +272,6 @@ let to_json p =
       ("af_drained", Json.Int p.af_drained);
       ("yields", Json.Int p.yields);
       ("elided_yields", Json.Int p.elided_yields);
-      ("shard_syncs", Json.Int p.shard_syncs);
-      ("epsilon_windows", Json.Int p.epsilon_windows);
-      ("epsilon_syncs", Json.Int p.epsilon_syncs);
-      ("max_skew_ns", Json.Int p.max_skew_ns);
       ("hp_scans", Json.Int p.hp_scans);
       ("hp_scan_ns", Json.Int p.hp_scan_ns);
       ("hp_freed", Json.Int p.hp_freed);

@@ -45,10 +45,6 @@ type t = {
   af_drained : int;  (** objects drained by amortized-free quanta *)
   yields : int;  (** performed context switches ([Yield] instants with a=1) *)
   elided_yields : int;  (** checkpoints that skipped the effect perform (a=0) *)
-  shard_syncs : int;  (** sharded-loop window openings ([Shard_sync] instants) *)
-  epsilon_windows : int;  (** relaxed-dispatch grants ([Epsilon_window] instants) *)
-  epsilon_syncs : int;  (** hard sync boundaries armed ([Epsilon_sync] instants) *)
-  max_skew_ns : int;  (** largest granted run-ahead past the merge bound *)
   hp_scans : int;  (** hazard-pointer [Hp_scan] spans in window *)
   hp_scan_ns : int;  (** inclusive time of those scans *)
   hp_freed : int;  (** objects those scans found reclaimable *)

@@ -48,27 +48,22 @@ let test_copy_diff () =
   Alcotest.(check int) "snapshot frozen" 100 snap.Metrics.ops
 
 let test_scheduler_counters_merge_diff () =
-  (* The yield/shard-sync counters follow the same merge/diff discipline as
-     the allocator counters. *)
+  (* The yield counters follow the same merge/diff discipline as the
+     allocator counters. *)
   let a = Metrics.create () and b = Metrics.create () in
   a.Metrics.yields <- 10;
   a.Metrics.elided_yields <- 4;
-  a.Metrics.shard_syncs <- 2;
   b.Metrics.yields <- 1;
   b.Metrics.elided_yields <- 2;
-  b.Metrics.shard_syncs <- 3;
   Metrics.merge a b;
   Alcotest.(check int) "merged yields" 11 a.Metrics.yields;
   Alcotest.(check int) "merged elided" 6 a.Metrics.elided_yields;
-  Alcotest.(check int) "merged syncs" 5 a.Metrics.shard_syncs;
   let snap = Metrics.copy a in
   a.Metrics.yields <- 20;
   a.Metrics.elided_yields <- 9;
-  a.Metrics.shard_syncs <- 6;
   let d = Metrics.diff ~before:snap ~after:a in
   Alcotest.(check int) "yields in window" 9 d.Metrics.yields;
-  Alcotest.(check int) "elided in window" 3 d.Metrics.elided_yields;
-  Alcotest.(check int) "syncs in window" 1 d.Metrics.shard_syncs
+  Alcotest.(check int) "elided in window" 3 d.Metrics.elided_yields
 
 let test_pct_zero_total () =
   let m = Metrics.create () in

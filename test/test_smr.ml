@@ -179,6 +179,82 @@ let test_grace_period_flags () =
       Alcotest.(check bool) (name ^ " exempt") false smr.Smr.Smr_intf.uses_grace_periods)
     [ "hp"; "he"; "wfe"; "nbr"; "nbr+"; "none" ]
 
+(* --- the validator around [begin_op] ----------------------------------- *)
+
+(* Two threads under periodic Token-EBR (check every free) over an
+   allocator whose frees are slow and yield. Thread 0 retires 200 objects
+   per operation, so each of its bag frees spans many of thread 1's short
+   operations; it passes the token mid-free, and thread 1 frees objects it
+   retired after thread 0 entered [begin_op]. Thread 0 holds no reference
+   while it frees, so no violation may be recorded. *)
+let test_token_pass_mid_free_no_violation () =
+  let n = 2 in
+  let sched = Helpers.make_sched ~n () in
+  let base = Alloc.Registry.make "leak" sched in
+  let alloc =
+    {
+      base with
+      Alloc.Alloc_intf.free =
+        (fun th h ->
+          Sched.work th Metrics.Free 1_000;
+          Sched.checkpoint th;
+          base.Alloc.Alloc_intf.free th h);
+    }
+  in
+  let safety = Smr.Safety.create ~n () in
+  let policy = Smr.Free_policy.create ~safety ~mode:Smr.Free_policy.Batch ~alloc ~n () in
+  let ctx = { Smr.Smr_intf.sched; alloc; policy; safety = Some safety } in
+  let smr = Smr.Smr_registry.make ~token_period:1 "token" ctx in
+  Array.iter
+    (fun th ->
+      Sched.spawn sched th (fun th ->
+          let tid = th.Sched.tid in
+          while Sched.now th < 1_000_000 do
+            Smr.Safety.note_op_begin safety ~tid ~time:(Sched.now th);
+            smr.Smr.Smr_intf.begin_op th;
+            for _ = 1 to if tid = 0 then 200 else 1 do
+              smr.Smr.Smr_intf.retire th (alloc.Alloc.Alloc_intf.malloc th 64)
+            done;
+            Sched.work th Metrics.Ds 100;
+            smr.Smr.Smr_intf.end_op th;
+            Sched.checkpoint th
+          done;
+          Smr.Safety.note_quiescent safety ~tid))
+    (Sched.threads sched);
+  Sched.run sched;
+  Alcotest.(check bool) "frees were validated" true (Smr.Safety.checked_frees safety > 1_000);
+  match Smr.Safety.violations safety with
+  | [] -> ()
+  | v :: _ -> Alcotest.fail (Format.asprintf "false violation: %a" Smr.Safety.pp_violation v)
+
+(* The other half of the rule: once [begin_op] has returned the operation is
+   live, so a thread stalled there still blocks frees of anything retired
+   after it — here freed at once by the deliberately unsafe reclaimer. *)
+let test_stalled_after_begin_op_blocks () =
+  let ctx, sched = Helpers.make_ctx ~n:2 ~alloc:"leak" () in
+  let safety = Option.get ctx.Smr.Smr_intf.safety in
+  let smr = Smr.Smr_registry.make "unsafe-immediate" ctx in
+  let stalled_at = ref (-1) in
+  Sched.spawn sched (Sched.thread sched 0) (fun th ->
+      Smr.Safety.note_op_begin safety ~tid:0 ~time:(Sched.now th);
+      smr.Smr.Smr_intf.begin_op th;
+      stalled_at := Sched.now th;
+      Sched.wait th Metrics.Idle 1_000_000);
+  Sched.spawn sched (Sched.thread sched 1) (fun th ->
+      Sched.wait th Metrics.Idle 1_000;
+      Smr.Safety.note_op_begin safety ~tid:1 ~time:(Sched.now th);
+      smr.Smr.Smr_intf.begin_op th;
+      smr.Smr.Smr_intf.retire th (ctx.Smr.Smr_intf.alloc.Alloc.Alloc_intf.malloc th 64);
+      smr.Smr.Smr_intf.end_op th;
+      Smr.Safety.note_quiescent safety ~tid:1);
+  Sched.run sched;
+  match Smr.Safety.violations safety with
+  | [ v ] ->
+      Alcotest.(check int) "blocked by the stalled thread" 0 v.Smr.Safety.blocking_thread;
+      Alcotest.(check bool) "retired after its op began" true
+        (v.Smr.Safety.retired_at > !stalled_at)
+  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs)
+
 let suite =
   ( "smr",
     List.map safety_test grace_period_names
@@ -196,4 +272,6 @@ let suite =
         Helpers.quick "nbr_pays_signals" test_nbr_pays_signals;
         Helpers.quick "registry_af_parsing" test_registry_af_parsing;
         Helpers.quick "grace_period_flags" test_grace_period_flags;
+        Helpers.quick "token_pass_mid_free_no_violation" test_token_pass_mid_free_no_violation;
+        Helpers.quick "stalled_after_begin_op_blocks" test_stalled_after_begin_op_blocks;
       ] )

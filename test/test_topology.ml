@@ -53,8 +53,8 @@ let test_no_smt_machine () =
 
 let test_socket_wraparound () =
   (* Oversubscription pins thread 192+k to the same CPU as thread k, on
-     every machine model: the socket mapping — which the sharded event
-     loop keys off — must be periodic in the machine size. *)
+     every machine model: the socket mapping — which remote-free and
+     failover accounting key off — must be periodic in the machine size. *)
   List.iter
     (fun m ->
       let total = Topology.total_threads m in
