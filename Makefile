@@ -1,13 +1,12 @@
 .PHONY: all build test bench bench-quick bench-smoke bench-trajectory bench-diff \
 	bench-diff-gate examples regress regress-exact regress-perf regress-bless \
-	regress-paper regress-bless-paper trace-paper queue-crosscheck churn-crosscheck \
-	perfbench-smoke simcheck-smoke simcheck-selftest trace-smoke fmt fmt-check deps \
-	deps-fmt clean
+	regress-paper regress-bless-paper trace-paper perfbench-smoke simcheck-smoke \
+	simcheck-selftest trace-smoke fmt fmt-check deps deps-fmt clean
 
 all: build
 
-# Generated result files (suite results, crosscheck matrices, micro-bench
-# output) land here instead of littering the repo root. Never committed.
+# Generated result files (suite results, micro-bench output) land here
+# instead of littering the repo root. Never committed.
 ART = regress/artifacts
 
 build:
@@ -100,46 +99,6 @@ regress-paper:
 trace-paper:
 	dune exec bin/simbench.exe -- run --only paper-je-ebr-n192 --trace paper-traces \
 		--out paper-trace-results.json --bench-out paper-trace-bench.json
-
-# Event-queue cross-validation: heap and wheel must produce byte-identical
-# result JSONs (the two queues differ only in host time), on four pr-tier
-# entries (epoch reclaimers plus one hazard-pointer entry), one paper-scale
-# 192-thread entry and two churn entries whose retire/respawn teardown
-# events are ordinary scheduler events. Mirrors the jobs=1 vs jobs=2 diff
-# job.
-CROSSCHECK_ENTRIES = ll-ebr-n1,sl-token-n32,occ-ebr-n32,ll-hp-n8
-CROSSCHECK_PAPER_ENTRY = paper-je-ebr-n192
-CROSSCHECK_CHURN_ENTRIES = ll-churn-rolling-n8,sl-churn-resize-n32
-queue-crosscheck:
-	@mkdir -p $(ART)
-	for q in heap wheel; do \
-		dune exec bin/simbench.exe -- run --only $(CROSSCHECK_ENTRIES) \
-			--queue $$q --out $(ART)/crosscheck-$$q.json \
-			--bench-out $(ART)/crosscheck-$$q-bench.json || exit 1; \
-		dune exec bin/simbench.exe -- run --only $(CROSSCHECK_PAPER_ENTRY) \
-			--queue $$q --out $(ART)/crosscheck-paper-$$q.json \
-			--bench-out $(ART)/crosscheck-paper-$$q-bench.json || exit 1; \
-		dune exec bin/simbench.exe -- run --only $(CROSSCHECK_CHURN_ENTRIES) \
-			--queue $$q --out $(ART)/crosscheck-churn-$$q.json \
-			--bench-out $(ART)/crosscheck-churn-$$q-bench.json || exit 1; \
-	done
-	cmp $(ART)/crosscheck-heap.json $(ART)/crosscheck-wheel.json
-	cmp $(ART)/crosscheck-paper-heap.json $(ART)/crosscheck-paper-wheel.json
-	cmp $(ART)/crosscheck-churn-heap.json $(ART)/crosscheck-churn-wheel.json
-
-# Thread-lifecycle determinism: the heaviest churn entry (32 threads under
-# a rolling restart, retiring and respawning mid-measurement) must produce
-# byte-identical result JSONs under both queue kinds, so no host-side
-# execution detail leaks into virtual time through the lifecycle paths.
-CHURN_CROSSCHECK_ENTRY = occ-churn-rolling-n32
-churn-crosscheck:
-	@mkdir -p $(ART)
-	for q in heap wheel; do \
-		dune exec bin/simbench.exe -- run --only $(CHURN_CROSSCHECK_ENTRY) \
-			--queue $$q --out $(ART)/churn-crosscheck-$$q.json \
-			--bench-out $(ART)/churn-crosscheck-$$q-bench.json || exit 1; \
-	done
-	cmp $(ART)/churn-crosscheck-heap.json $(ART)/churn-crosscheck-wheel.json
 
 # Host-performance benchmark smoke (perfbench/README.md): one-second runs
 # of the traced span path on the pr tier and of the 192-thread paper

@@ -101,58 +101,33 @@ let test_grouper =
   Test.make ~name:"flush grouping (256 handles, 16 homes)"
     (Staged.stage (fun () -> Alloc.Alloc_intf.Grouper.group g table v ~len:256))
 
-(* The scheduler's event-dispatch cycle under each queue implementation:
-   32 events in flight (an n32 trial's steady state), pop the minimum and
-   re-push it a few hundred virtual ns ahead, exactly the thread-clock
-   advance pattern of a running trial. The re-pushed key never drops below
-   the key just popped, so the wheel's monotone contract holds. Both
-   queues must show ~0 minor words/run; the gap between the two is the
-   per-event win the wheel buys every yield. *)
-let test_event_queue kind n =
-  let q = Simcore.Event_queue.create ~kind ~dummy:(-1) in
+(* The scheduler's event-dispatch cycle: [n] events in flight, pop the
+   minimum and re-push it a little ahead, the thread-clock advance pattern
+   of a running trial. The sparse case is an n32 trial's steady state
+   (clocks a few hundred virtual ns apart); the dense case is the paper's
+   n192, where clocks advance by a few ns and many pops break a tie on
+   seq. Both must show ~0 minor words/run. *)
+let test_dispatch ?(label = "") ~spread ~stride ~jitter n =
+  let q = Simcore.Heap.create ~dummy:(-1) in
   let keys = Array.make n 0 in
   let seq = ref 0 in
   for i = 0 to n - 1 do
     incr seq;
-    keys.(i) <- i * 211 mod 4096;
-    Simcore.Event_queue.push q ~key:keys.(i) ~seq:!seq i
+    keys.(i) <- i * stride mod spread;
+    Simcore.Heap.push q ~key:keys.(i) ~seq:!seq i
   done;
   Test.make
-    ~name:
-      (Printf.sprintf "event dispatch (%s, %d threads)" (Simcore.Event_queue.to_string kind) n)
+    ~name:(Printf.sprintf "event dispatch%s (%d threads)" label n)
     (Staged.stage (fun () ->
          for _ = 1 to 100 do
-           let x = Simcore.Event_queue.pop_le_default q ~bound:max_int in
+           let x = Simcore.Heap.pop_le_default q ~bound:max_int in
            incr seq;
-           keys.(x) <- keys.(x) + 211 + (97 * (x land 7));
-           Simcore.Event_queue.push q ~key:keys.(x) ~seq:!seq x
+           keys.(x) <- keys.(x) + stride + (jitter * (x land 7));
+           Simcore.Heap.push q ~key:keys.(x) ~seq:!seq x
          done))
 
-(* The paper-scale worst case for the wheel: all the thread clocks advance
-   by less than the 512 ns bucket granularity, so every event lands in one
-   or two buckets and the staging window holds ~n entries at once. The
-   old sorted-array staging degraded to an O(occupancy) memmove per insert
-   here; the staging min-heap makes it O(log occupancy). *)
-let test_event_queue_dense kind n =
-  let q = Simcore.Event_queue.create ~kind ~dummy:(-1) in
-  let keys = Array.make n 0 in
-  let seq = ref 0 in
-  for i = 0 to n - 1 do
-    incr seq;
-    keys.(i) <- i * 3 mod 500;
-    Simcore.Event_queue.push q ~key:keys.(i) ~seq:!seq i
-  done;
-  Test.make
-    ~name:
-      (Printf.sprintf "event dispatch dense ties (%s, %d threads)"
-         (Simcore.Event_queue.to_string kind) n)
-    (Staged.stage (fun () ->
-         for _ = 1 to 100 do
-           let x = Simcore.Event_queue.pop_le_default q ~bound:max_int in
-           incr seq;
-           keys.(x) <- keys.(x) + 3 + (x land 7);
-           Simcore.Event_queue.push q ~key:keys.(x) ~seq:!seq x
-         done))
+let test_dispatch_sparse = test_dispatch ~spread:4096 ~stride:211 ~jitter:97
+let test_dispatch_dense = test_dispatch ~label:" dense ties" ~spread:500 ~stride:3 ~jitter:1
 
 let run () =
   Exp.section "Micro-benchmarks (Bechamel; host-time cost of simulator primitives)";
@@ -162,12 +137,9 @@ let run () =
       test_batch_free;
       test_batch_free_traced;
       test_grouper;
-      test_event_queue Simcore.Event_queue.Heap 32;
-      test_event_queue Simcore.Event_queue.Wheel 32;
-      test_event_queue Simcore.Event_queue.Heap 192;
-      test_event_queue Simcore.Event_queue.Wheel 192;
-      test_event_queue_dense Simcore.Event_queue.Heap 192;
-      test_event_queue_dense Simcore.Event_queue.Wheel 192;
+      test_dispatch_sparse 32;
+      test_dispatch_sparse 192;
+      test_dispatch_dense 192;
       test_abtree_ops;
       test_smr_cycle;
     ]

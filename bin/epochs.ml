@@ -23,19 +23,29 @@ let smr_arg =
 let alloc_arg =
   Arg.(value & opt string "jemalloc" & info [ "alloc" ] ~docv:"NAME" ~doc:"Allocator model (jemalloc, tcmalloc, mimalloc, leak).")
 
+(* Counts and durations: a value below 1 is a usage error naming the flag
+   instead of a crash or an empty run. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None -> Error (Printf.sprintf "%S is not a positive integer" s)
+  in
+  Arg.conv' (parse, Format.pp_print_int)
+
 let threads_arg =
-  Arg.(value & opt int 48 & info [ "threads"; "n" ] ~docv:"N" ~doc:"Simulated thread count.")
+  Arg.(value & opt pos_int 48 & info [ "threads"; "n" ] ~docv:"N" ~doc:"Simulated thread count.")
 
 let machine_arg =
   Arg.(value & opt string "intel" & info [ "machine" ] ~docv:"NAME" ~doc:"Machine model (intel, intel144, amd).")
 
 let keys_arg =
-  Arg.(value & opt int (1 lsl 14) & info [ "keys" ] ~docv:"K" ~doc:"Key range.")
+  Arg.(value & opt pos_int (1 lsl 14) & info [ "keys" ] ~docv:"K" ~doc:"Key range.")
 
 let duration_arg =
-  Arg.(value & opt int 30 & info [ "duration" ] ~docv:"MS" ~doc:"Measured window, virtual milliseconds.")
+  Arg.(value & opt pos_int 30 & info [ "duration" ] ~docv:"MS" ~doc:"Measured window, virtual milliseconds.")
 
-let trials_arg = Arg.(value & opt int 1 & info [ "trials" ] ~docv:"T" ~doc:"Trials per configuration.")
+let trials_arg = Arg.(value & opt pos_int 1 & info [ "trials" ] ~docv:"T" ~doc:"Trials per configuration.")
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc:"Random seed.")
 let validate_arg = Arg.(value & flag & info [ "validate" ] ~doc:"Enable the grace-period safety validator.")
 let timeline_arg = Arg.(value & flag & info [ "timeline" ] ~doc:"Record and print timeline graphs.")
@@ -58,13 +68,16 @@ let zipf_arg =
     & info [ "zipf" ] ~docv:"THETA" ~doc:"Zipf-skew the key distribution with exponent $(docv).")
 
 let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Domains to fan independent trials out over. Defaults to \\$(b,EPOCHS_JOBS) when set, \
-           else the recommended domain count. Results are bit-identical to a sequential run.")
+  let j =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:
+            "Domains to fan independent trials out over. Defaults to \\$(b,EPOCHS_JOBS) when set, \
+             else the recommended domain count. Results are bit-identical to a sequential run.")
+  in
+  Term.(term_result' ~usage:true (const Runtime.Pool.resolve_jobs $ j))
 
 let trace_arg =
   Arg.(
@@ -97,8 +110,6 @@ let churn_arg =
            $(b,resize:AT_NS:KEEP:DOWN_NS) (shrink to KEEP threads) or \
            $(b,failover:AT_NS:SOCKET:DOWN_NS) (lose a socket). Times are virtual ns from \
            the start of the measured window; DOWN_NS < 0 means never respawn.")
-
-let resolve_jobs = function Some j -> max 1 j | None -> Runtime.Pool.default_jobs ()
 
 let config ?churn ds smr alloc threads machine keys duration trials seed validate
     timeline af_drain zipf =
@@ -196,7 +207,7 @@ let run_cmd =
     in
     let trials =
       match trace with
-      | None -> Runtime.Runner.run ~jobs:(resolve_jobs jobs) cfg
+      | None -> Runtime.Runner.run ~jobs cfg
       | Some path ->
           (* Trace the first trial; the rest run untraced as usual. *)
           let tracer = Simcore.Tracer.create ~capacity:trace_capacity () in
@@ -246,7 +257,6 @@ let sweep_cmd =
     Arg.(value & opt string "12,24,48,96,144,192" & info [ "threads" ] ~docv:"NS" ~doc:"Comma-separated thread counts.")
   in
   let run ds smrs alloc threads_list machine keys duration trials seed jobs churn =
-    let jobs = resolve_jobs jobs in
     (* [all] / [all_af] expand from the registry, so a newly registered
        reclaimer shows up in sweeps without touching the CLI. *)
     let smrs =

@@ -46,14 +46,17 @@ let seeds_arg =
         ~doc:"Seeds per entry used to derive perf tolerances when blessing.")
 
 let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Domains to fan entries out over. Defaults to \\$(b,EPOCHS_JOBS) when set, else the \
-           recommended domain count. Parallelism is bit-identical to sequential execution: it \
-           changes nothing but wall-clock time.")
+  let j =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:
+            "Domains to fan entries out over. Defaults to \\$(b,EPOCHS_JOBS) when set, else the \
+             recommended domain count. Parallelism is bit-identical to sequential execution: it \
+             changes nothing but wall-clock time.")
+  in
+  Term.(term_result' ~usage:true (const Runtime.Pool.resolve_jobs $ j))
 
 let bench_out_arg =
   Arg.(
@@ -88,18 +91,6 @@ let only_arg =
     & info [ "only" ] ~docv:"IDS"
         ~doc:"Comma-separated entry ids to run, looked up across every tier. Overrides --tier.")
 
-let queue_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "queue" ] ~docv:"KIND"
-        ~doc:
-          "Scheduler event-queue implementation: $(b,heap) or $(b,wheel). Defaults to the \
-           $(b,EPOCHS_EVENT_QUEUE) environment variable, else the wheel. Results are \
-           bit-identical under either; the flag exists for cross-validation and bisection.")
-
-let resolve_jobs = function Some j -> max 1 j | None -> Runtime.Pool.default_jobs ()
-
 let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 2) fmt
 
 let select_entries ~tier ~only entries =
@@ -121,22 +112,6 @@ let select_entries ~tier ~only entries =
           die "simbench: no entries in tier %S (tiers present: %s)" tier
             (String.concat ", " (Regress.Suite.tier_names entries))
       | es -> es)
-
-let apply_queue ~queue entries =
-  match queue with
-  | None -> entries
-  | Some s -> (
-      match Simcore.Event_queue.of_string s with
-      | Error msg -> die "simbench: %s" msg
-      | Ok k ->
-          List.map
-            (fun (e : Regress.Suite.entry) ->
-              {
-                e with
-                Regress.Suite.config =
-                  { e.Regress.Suite.config with Runtime.Config.event_queue = Some k };
-              })
-            entries)
 
 (* Wall-clock and GC self-measurement. Virtual-time results are
    deterministic; wall_ns and the allocation counters are the deliberately
@@ -287,13 +262,12 @@ let run_suite ?trace_dir ~jobs entries =
   (results, timings, total.wall_ns)
 
 let run_cmd =
-  let run suite out bench_out jobs trace_dir tier only queue =
-    let jobs = resolve_jobs jobs in
+  let run suite out bench_out jobs trace_dir tier only =
     (match trace_dir with
     | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
     | _ -> ());
     let entries, suite_label = load_suite suite in
-    let entries = apply_queue ~queue (select_entries ~tier ~only entries) in
+    let entries = select_entries ~tier ~only entries in
     let results, timings, total_wall_ns = run_suite ?trace_dir ~jobs entries in
     print_string (summary_table results);
     write_results ~out ~suite_label results;
@@ -307,19 +281,18 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run the suite and write its results as canonical JSON.")
     Term.(
       const run $ suite_arg $ out_arg $ bench_out_arg $ jobs_arg $ trace_dir_arg $ tier_arg
-      $ only_arg $ queue_arg)
+      $ only_arg)
 
 let check_cmd =
   let exact_flag = Arg.(value & flag & info [ "exact" ] ~doc:"Digest gate: bit-exact determinism.") in
   let perf_flag =
     Arg.(value & flag & info [ "perf" ] ~doc:"Tolerance gate: throughput and peak garbage.")
   in
-  let run suite baselines out bench_out jobs exact perf tier only queue =
+  let run suite baselines out bench_out jobs exact perf tier only =
     (* No mode flag means both gates. *)
     let exact, perf = if exact || perf then (exact, perf) else (true, true) in
-    let jobs = resolve_jobs jobs in
     let entries, suite_label = load_suite suite in
-    let entries = apply_queue ~queue (select_entries ~tier ~only entries) in
+    let entries = select_entries ~tier ~only entries in
     let results, timings, total_wall_ns = run_suite ~jobs entries in
     let findings =
       List.concat_map
@@ -346,12 +319,11 @@ let check_cmd =
     (Cmd.info "check" ~doc:"Run the suite and compare against the golden baselines.")
     Term.(
       const run $ suite_arg $ baselines_arg $ out_arg $ bench_out_arg $ jobs_arg $ exact_flag
-      $ perf_flag $ tier_arg $ only_arg $ queue_arg)
+      $ perf_flag $ tier_arg $ only_arg)
 
 let bless_cmd =
   let run suite baselines seeds jobs tier only =
     if seeds < 1 then die "simbench: --seeds must be at least 1";
-    let jobs = resolve_jobs jobs in
     let entries, _ = load_suite suite in
     let entries = select_entries ~tier ~only entries in
     (* Fan the full (entry, seed) cross product out at once: the variance

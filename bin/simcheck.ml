@@ -41,14 +41,17 @@ let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"First workload seed.")
 
 let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Domains to fan schedules out over. Defaults to \\$(b,EPOCHS_JOBS) when set, else \
-           the recommended domain count. Exploration reports are bit-identical to sequential \
-           runs: parallelism changes nothing but wall-clock time.")
+  let j =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "j"; "jobs" ] ~docv:"N"
+          ~doc:
+            "Domains to fan schedules out over. Defaults to \\$(b,EPOCHS_JOBS) when set, else \
+             the recommended domain count. Exploration reports are bit-identical to sequential \
+             runs: parallelism changes nothing but wall-clock time.")
+  in
+  Term.(term_result' ~usage:true (const Runtime.Pool.resolve_jobs $ j))
 
 let mutant_arg =
   Arg.(
@@ -70,8 +73,6 @@ let max_traces_arg =
 
 let no_shrink_arg =
   Arg.(value & flag & info [ "no-shrink" ] ~doc:"Save counterexamples without shrinking.")
-
-let resolve_jobs = function Some j -> max 1 j | None -> Runtime.Pool.default_jobs ()
 
 let resolve_scenarios name =
   if name = "all" then Check.Scenario.all
@@ -136,7 +137,6 @@ let emit_trace ~dir ~shrink sc (t : Check.Trace.t) =
 
 let run_cmd =
   let run scenario strategy budget seed jobs mutant_name trace_dir max_traces no_shrink =
-    let jobs = resolve_jobs jobs in
     let scenarios = resolve_scenarios scenario in
     let strategies = resolve_strategies strategy in
     let mutant = resolve_mutant mutant_name in
@@ -312,7 +312,6 @@ let selftest_matrix =
 
 let selftest_cmd =
   let run jobs seed trace_dir =
-    let jobs = resolve_jobs jobs in
     let failures = ref 0 in
     List.iter
       (fun (scen, strat, mut, budget) ->

@@ -54,17 +54,13 @@ type t = {
   debra_check_every : int;  (* ops between DEBRA announcement scans *)
   alloc_config : Alloc.Alloc_intf.config;
   cost : Cost_model.t;
-  event_queue : Event_queue.kind option;
-      (* scheduler event-queue implementation; [None] defers to
-         [Event_queue.default_kind] (the EPOCHS_EVENT_QUEUE env var, else
-         the wheel). Both kinds are bit-identical, so this is not part of
-         the experiment definition and — like [alloc_config] and [cost] —
-         never appears in manifests. *)
+  event_queue : Sched.queue option;
   shards : int option;
   epsilon : int option;
       (* compatibility fields read by perfbench/span.ml and passed to
-         [Sched.create], which accepts only [None], [Some 1] shards and
-         [Some 0] epsilon; never in manifests *)
+         [Sched.create], which accepts only [None] or the one event queue
+         [Some Heap], [Some 1] shards and [Some 0] epsilon; never in
+         manifests *)
   churn : churn option;
       (* thread-churn plan, [None] = static population (all pre-churn
          behaviour and manifests unchanged) *)
@@ -182,8 +178,8 @@ let churn_of_spec spec =
 
 (* Expand the plan into per-tid (retire, respawn) offsets relative to the
    start of the measured window; [max_int] = never. The schedule is a pure
-   function of the config, so every worker and queue kind sees the same
-   one — churn determinism rests on this. *)
+   function of the config, so every worker sees the same one — churn
+   determinism rests on this. *)
 let churn_schedule cfg =
   match cfg.churn with
   | None -> None

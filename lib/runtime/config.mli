@@ -49,15 +49,13 @@ type t = {
   debra_check_every : int;
   alloc_config : Alloc.Alloc_intf.config;
   cost : Cost_model.t;
-  event_queue : Event_queue.kind option;
-      (** scheduler event-queue implementation; [None] defers to
-          {!Simcore.Event_queue.default_kind}. Bit-identical either way,
-          so not manifest-expressible (like [alloc_config] and [cost]) *)
+  event_queue : Sched.queue option;
   shards : int option;
   epsilon : int option;
       (** compatibility fields read by [perfbench/span.ml] and passed to
-          {!Simcore.Sched.create}, which accepts only [None], [Some 1]
-          shards and [Some 0] epsilon; never manifest-expressible *)
+          {!Simcore.Sched.create}, which accepts only [None] or the one
+          event queue [Some Heap], [Some 1] shards and [Some 0] epsilon;
+          never manifest-expressible *)
   churn : churn option;
       (** thread-churn plan; [None] = static population (all pre-churn
           behaviour, labels and manifests unchanged) *)
@@ -80,8 +78,8 @@ val churn_of_spec : string -> churn
 val churn_schedule : t -> (int array * int array) option
 (** Expand the plan into per-tid [(retire, respawn)] offsets relative to
     the start of the measured window; [max_int] = never. A pure function
-    of the config, so every worker and queue kind derives the same
-    schedule — churn determinism rests on this. *)
+    of the config, so every worker derives the same schedule — churn
+    determinism rests on this. *)
 
 (** {1 Manifest serialization}
 

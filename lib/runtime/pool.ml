@@ -16,17 +16,25 @@
 
 let env_var = "EPOCHS_JOBS"
 
-(* Parse a job-count override; [None] when absent or malformed (a malformed
-   value falls back to the hardware default rather than aborting a sweep). *)
+(* Parse a job-count override; [None] when malformed or below 1. *)
 let parse_jobs s =
   match int_of_string_opt (String.trim s) with
   | Some n when n >= 1 -> Some n
   | Some _ | None -> None
 
+let resolve_jobs = function
+  | Some j when j >= 1 -> Ok j
+  | Some j -> Error (Printf.sprintf "jobs (-j) must be at least 1, got %d" j)
+  | None -> (
+      match Sys.getenv_opt env_var with
+      | None | Some "" -> Ok (Domain.recommended_domain_count ())
+      | Some s -> (
+          match parse_jobs s with
+          | Some n -> Ok n
+          | None -> Error (Printf.sprintf "%s=%S is not a positive integer" env_var s)))
+
 let default_jobs () =
-  match Option.bind (Sys.getenv_opt env_var) parse_jobs with
-  | Some n -> n
-  | None -> Domain.recommended_domain_count ()
+  match resolve_jobs None with Ok n -> n | Error msg -> invalid_arg msg
 
 let map ?jobs f tasks =
   let tasks = Array.of_list tasks in

@@ -8,20 +8,26 @@
 
     The degree of parallelism resolves as: explicit [?jobs] argument (the
     drivers' [-j] flag), else the [EPOCHS_JOBS] environment variable, else
-    [Domain.recommended_domain_count ()]. It is always clamped to
-    [[1; #tasks]]; at 1 (or a single task) everything runs inline on the
-    calling domain and no domain is ever spawned. *)
+    [Domain.recommended_domain_count ()]. {!resolve_jobs} rejects a [-j]
+    below 1 and a malformed [EPOCHS_JOBS] instead of falling back. {!map}
+    clamps the count to [[1; #tasks]]; at 1 (or a single task) everything
+    runs inline on the calling domain and no domain is ever spawned. *)
 
 val env_var : string
 (** ["EPOCHS_JOBS"]. *)
 
 val parse_jobs : string -> int option
-(** Parse a job-count override; [None] when malformed or [< 1] (malformed
-    values fall back to the hardware default rather than aborting). *)
+(** Parse a job-count override; [None] when malformed or [< 1]. *)
+
+val resolve_jobs : int option -> (int, string) result
+(** The job count for an optional [-j] value: [Some j] must be at least 1;
+    [None] reads [EPOCHS_JOBS] (unset or empty means
+    [Domain.recommended_domain_count ()]), which must parse with
+    {!parse_jobs}. [Error] carries a message naming the bad value. *)
 
 val default_jobs : unit -> int
-(** [EPOCHS_JOBS] when set and valid, else
-    [Domain.recommended_domain_count ()]. *)
+(** [resolve_jobs None].
+    @raise Invalid_argument when [EPOCHS_JOBS] is set but malformed. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ?jobs f tasks] is [List.map f tasks] computed on up to [jobs]

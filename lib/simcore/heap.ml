@@ -1,6 +1,12 @@
-(* Binary min-heap keyed by (time, sequence). The sequence number makes the
-   scheduler deterministic: events with equal timestamps pop in insertion
-   order. *)
+(* 4-ary min-heap keyed by (time, sequence): the scheduler's event queue.
+   The sequence number makes the scheduler deterministic: events with equal
+   timestamps pop in insertion order.
+
+   A 4-ary heap is half as deep as a binary one, and the four children of
+   a node sit next to each other in the key array, so a sift-down compares
+   them within one or two cache lines. Both sifts move a hole instead of
+   swapping: the moving element stays in locals and is written once, at its
+   final slot. *)
 
 type 'a t = {
   mutable keys : int array;  (* primary key: virtual time *)
@@ -8,8 +14,7 @@ type 'a t = {
   mutable data : 'a array;
   mutable len : int;
   dummy : 'a;
-  mutable last : int;  (* last popped key *)
-  mutable check : bool;  (* reject pushes behind [last] *)
+  mutable last : int;  (* last popped key; pushes behind it are rejected *)
 }
 
 let create ~dummy =
@@ -20,46 +25,62 @@ let create ~dummy =
     len = 0;
     dummy;
     last = min_int;
-    check = false;
   }
-
-let enable_monotone_check t = t.check <- true
 
 let length t = t.len
 let is_empty t = t.len = 0
 
-let less t i j =
-  t.keys.(i) < t.keys.(j) || (t.keys.(i) = t.keys.(j) && t.seqs.(i) < t.seqs.(j))
-
-let swap t i j =
-  let k = t.keys.(i) in
-  t.keys.(i) <- t.keys.(j);
-  t.keys.(j) <- k;
-  let s = t.seqs.(i) in
-  t.seqs.(i) <- t.seqs.(j);
-  t.seqs.(j) <- s;
-  let d = t.data.(i) in
-  t.data.(i) <- t.data.(j);
-  t.data.(j) <- d
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if less t i parent then begin
-      swap t i parent;
-      sift_up t parent
+(* Place (key, seq, x) by moving the hole at [i] up past every larger
+   parent. *)
+let sift_up t i key seq x =
+  let keys = t.keys and seqs = t.seqs and data = t.data in
+  let i = ref i and moving = ref true in
+  while !moving && !i > 0 do
+    let p = (!i - 1) lsr 2 in
+    let pk = keys.(p) in
+    if key < pk || (key = pk && seq < seqs.(p)) then begin
+      keys.(!i) <- pk;
+      seqs.(!i) <- seqs.(p);
+      data.(!i) <- data.(p);
+      i := p
     end
-  end
+    else moving := false
+  done;
+  keys.(!i) <- key;
+  seqs.(!i) <- seq;
+  data.(!i) <- x
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.len && less t l !smallest then smallest := l;
-  if r < t.len && less t r !smallest then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
+(* Place (key, seq, x) by moving the hole at the root down past every
+   smaller least child. *)
+let sift_down t key seq x =
+  let keys = t.keys and seqs = t.seqs and data = t.data and len = t.len in
+  let i = ref 0 and moving = ref true in
+  while !moving do
+    let c = (4 * !i) + 1 in
+    if c >= len then moving := false
+    else begin
+      let m = ref c and mk = ref keys.(c) and ms = ref seqs.(c) in
+      let last = if c + 3 < len then c + 3 else len - 1 in
+      for j = c + 1 to last do
+        let kj = keys.(j) in
+        if kj < !mk || (kj = !mk && seqs.(j) < !ms) then begin
+          m := j;
+          mk := kj;
+          ms := seqs.(j)
+        end
+      done;
+      if !mk < key || (!mk = key && !ms < seq) then begin
+        keys.(!i) <- !mk;
+        seqs.(!i) <- !ms;
+        data.(!i) <- data.(!m);
+        i := !m
+      end
+      else moving := false
+    end
+  done;
+  keys.(!i) <- key;
+  seqs.(!i) <- seq;
+  data.(!i) <- x
 
 let grow t =
   let cap = 2 * Array.length t.keys in
@@ -72,7 +93,7 @@ let grow t =
   t.data <- data
 
 let push t ~key ~seq x =
-  if t.check && key < t.last then
+  if key < t.last then
     failwith
       (Printf.sprintf
          "Heap.push: clock regression — key %d is before the last popped key %d; the \
@@ -80,22 +101,17 @@ let push t ~key ~seq x =
           queue bug)"
          key t.last);
   if t.len = Array.length t.keys then grow t;
-  t.keys.(t.len) <- key;
-  t.seqs.(t.len) <- seq;
-  t.data.(t.len) <- x;
   t.len <- t.len + 1;
-  sift_up t (t.len - 1)
+  sift_up t (t.len - 1) key seq x
 
 (* Remove and return the root. Precondition: [t.len > 0]. *)
 let take t =
   let x = t.data.(0) in
   t.last <- t.keys.(0);
-  t.len <- t.len - 1;
-  t.keys.(0) <- t.keys.(t.len);
-  t.seqs.(0) <- t.seqs.(t.len);
-  t.data.(0) <- t.data.(t.len);
-  t.data.(t.len) <- t.dummy;
-  if t.len > 0 then sift_down t 0;
+  let n = t.len - 1 in
+  t.len <- n;
+  if n > 0 then sift_down t t.keys.(n) t.seqs.(n) t.data.(n);
+  t.data.(n) <- t.dummy;
   x
 
 let pop t = if t.len = 0 then None else Some (take t)

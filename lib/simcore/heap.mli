@@ -1,7 +1,12 @@
-(** Binary min-heap keyed by [(time, sequence)].
+(** 4-ary min-heap keyed by [(time, sequence)]: the scheduler's event
+    queue.
 
     The insertion sequence number breaks ties, which makes the scheduler
-    deterministic: events with equal timestamps pop in insertion order. *)
+    deterministic: events with equal timestamps pop in insertion order.
+
+    Keys must be monotone: a push may not be earlier than the last popped
+    key. The scheduler's keys are thread clocks, which only move forward,
+    so a regressing key is a scheduler bug, and {!push} fails on it. *)
 
 type 'a t
 
@@ -9,19 +14,11 @@ val create : dummy:'a -> 'a t
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
-val enable_monotone_check : 'a t -> unit
-(** After this call, {!push} raises a descriptive [Failure] when given a
-    key earlier than the last popped key, instead of silently reordering.
-    The scheduler enables this on its event queue: its keys are thread
-    clocks, which only move forward, so a regressing key is a scheduler
-    bug worth failing loudly on. Off by default (a bare heap has no
-    monotonicity contract). *)
-
 val push : 'a t -> key:int -> seq:int -> 'a -> unit
 (** [push h ~key ~seq x] inserts [x] with primary key [key] (virtual time)
     and tie-break [seq].
-    @raise Failure on a clock regression when {!enable_monotone_check} is
-    on. *)
+    @raise Failure (naming both keys) when [key] is before the last
+    popped key. *)
 
 val pop : 'a t -> 'a option
 (** Removes and returns the minimum element. *)
@@ -42,4 +39,3 @@ val pop_le_default : 'a t -> bound:int -> 'a
 
 val has_le : 'a t -> bound:int -> bool
 (** Whether some element has key [<= bound] (exact, O(1)). *)
-

@@ -62,7 +62,7 @@ and thread = {
 }
 
 and t = {
-  queue : task Event_queue.t;
+  queue : task Heap.t;
   mutable seq : int;
   cost : Cost_model.t;
   topology : Topology.t;
@@ -84,13 +84,17 @@ type _ Effect.t += Suspend : thread -> unit Effect.t
 
 let quantum_ns = 1_000_000  (* 1 virtual ms, a Linux-like timeslice *)
 
-(* Queue-empty sentinel for [Event_queue.pop_le_default]: never executed,
+(* Queue-empty sentinel for [Heap.pop_le_default]: never executed,
    recognised by physical equality in the dispatch loops. *)
 let dummy_task : task = Run ignore
 
 let[@inline] is_live t = t != dummy_task
 
-(* [shards]/[epsilon] remain only because perfbench/span.ml passes them. *)
+(* [event_queue], [shards] and [epsilon] remain only because
+   perfbench/span.ml passes them. [queue] has the one value [Heap], so
+   [event_queue] needs no check. *)
+type queue = Heap
+
 let check_compat ~name ~exact = function
   | None -> ()
   | Some v when v = exact -> ()
@@ -101,17 +105,14 @@ let check_compat ~name ~exact = function
             (only %s = %d is accepted)"
            name v name exact)
 
-let create ?(cost = Cost_model.default) ?event_queue ?shards ?epsilon ~topology ~n_threads
-    ~seed () =
+let create ?(cost = Cost_model.default) ?event_queue:(_ : queue option) ?shards ?epsilon
+    ~topology ~n_threads ~seed () =
   if n_threads <= 0 then invalid_arg "Sched.create: n_threads must be positive";
-  let kind =
-    match event_queue with Some k -> k | None -> Event_queue.default_kind ()
-  in
   check_compat ~name:"shards" ~exact:1 shards;
   check_compat ~name:"epsilon" ~exact:0 epsilon;
   let sched =
     {
-      queue = Event_queue.create ~kind ~dummy:dummy_task;
+      queue = Heap.create ~dummy:dummy_task;
       seq = 0;
       cost;
       topology;
@@ -160,7 +161,6 @@ let create ?(cost = Cost_model.default) ?event_queue ?shards ?epsilon ~topology 
 
 let threads t = t.threads
 let thread t i = t.threads.(i)
-let event_queue t = Event_queue.kind t.queue
 let epsilon _ = 0
 let cost t = t.cost
 let topology t = t.topology
@@ -174,7 +174,7 @@ let tracer t = t.tracer
 
 let enqueue sched ~key task =
   sched.seq <- sched.seq + 1;
-  Event_queue.push sched.queue ~key ~seq:sched.seq task
+  Heap.push sched.queue ~key ~seq:sched.seq task
 
 (* Advance [th]'s clock by [ns] of *CPU work*, scaled by the SMT factor and
    attributed to [bucket]. Does not yield. *)
@@ -271,16 +271,13 @@ let checkpoint th =
     (* Elide the yield when this thread would only pop itself right back:
        no other event is due at or before our clock. (A re-enqueued task
        gets a fresh, maximal seq, so any existing event with key <= clock
-       pops first — if none exists the round trip is pure overhead.)
-       [has_le] may answer a conservative [true] under the wheel, which
-       just performs the yield we would have performed anyway; schedules
-       and digests are bit-identical either way. The yield must still
-       happen when stopping or past the hard deadline so the dispatch loop
-       can drop this continuation. *)
+       pops first — if none exists the round trip is pure overhead.) The
+       yield must still happen when stopping or past the hard deadline so
+       the dispatch loop can drop this continuation. *)
     if
       sched.stopped
       || th.clock > sched.hard_deadline
-      || Event_queue.has_le sched.queue ~bound:th.clock
+      || Heap.has_le sched.queue ~bound:th.clock
     then begin
       th.metrics.Metrics.yields <- th.metrics.Metrics.yields + 1;
       if Tracer.enabled sched.tracer then
@@ -386,8 +383,7 @@ let retire sched ~tid =
 (* Re-spawn a retired thread at virtual time [at] (>= its clock). The
    downtime is charged as idle immediately — the thread's clock equals
    [at] when the spawn event pops, and dispatch order stays a pure
-   function of (key, seq), so respawns are deterministic across queue
-   kinds. [spawn_pending] guards against enqueuing two coroutines for one
+   function of (key, seq), so respawns are deterministic. [spawn_pending] guards against enqueuing two coroutines for one
    thread. *)
 let respawn sched ~tid ~at body =
   if tid < 0 || tid >= sched.n_threads then
@@ -431,7 +427,7 @@ let exec = function
 let run sched =
   let q = sched.queue in
   let rec loop () =
-    let t = Event_queue.pop_le_default q ~bound:max_int in
+    let t = Heap.pop_le_default q ~bound:max_int in
     if is_live t then begin
       exec t;
       loop ()
@@ -451,12 +447,12 @@ let set_hard_deadline sched ns = sched.hard_deadline <- ns
 let run_until sched =
   let q = sched.queue in
   let rec loop () =
-    let t = Event_queue.pop_le_default q ~bound:sched.hard_deadline in
+    let t = Heap.pop_le_default q ~bound:sched.hard_deadline in
     if is_live t then begin
       exec t;
       loop ()
     end
-    else if not (Event_queue.is_empty q) then sched.stopped <- true
+    else if not (Heap.is_empty q) then sched.stopped <- true
   in
   loop ()
 

@@ -58,9 +58,14 @@ and thread = {
 
 and t
 
+(** The one event queue, the 4-ary {!Heap}. A compatibility type: the
+    frozen [perfbench/span.ml] passes [Config.event_queue] to {!create},
+    so the parameter stays, with a single value. *)
+type queue = Heap
+
 val create :
   ?cost:Cost_model.t ->
-  ?event_queue:Event_queue.kind ->
+  ?event_queue:queue ->
   ?shards:int ->
   ?epsilon:int ->
   topology:Topology.t ->
@@ -73,22 +78,15 @@ val create :
     threads share logical CPUs and are periodically preempted for whole
     timeslices (the paper's 240-thread configuration).
 
-    [event_queue] selects the queue implementation behind the dispatch
-    loop; the default comes from {!Event_queue.default_kind} (the timing
-    wheel unless [EPOCHS_EVENT_QUEUE] says otherwise). Both kinds produce
-    bit-identical runs.
-
-    [shards] and [epsilon] are compatibility parameters kept for
-    [perfbench/span.ml]: the scheduler is one exact dispatch loop, so only
-    [shards = 1] and [epsilon = 0] (or omitting them) are accepted.
+    [event_queue], [shards] and [epsilon] are compatibility parameters
+    kept for [perfbench/span.ml]: the scheduler is one exact dispatch loop
+    over one {!Heap}, so only [event_queue = Heap], [shards = 1] and
+    [epsilon = 0] (or omitting them) are accepted.
     @raise Invalid_argument when [shards <> 1], [epsilon <> 0] or
     [n_threads <= 0]. *)
 
 val threads : t -> thread array
 val thread : t -> int -> thread
-
-val event_queue : t -> Event_queue.kind
-(** Which event-queue implementation this scheduler dispatches from. *)
 
 val epsilon : t -> int
 (** Always [0]: dispatch is exact. Kept for [perfbench/span.ml]. *)
@@ -179,8 +177,8 @@ val respawn : t -> tid:int -> at:int -> (thread -> unit) -> unit
 (** Schedule a retired thread to rejoin at virtual time [at]: its downtime
     is charged as idle up front (the clock reads [at] when the spawn event
     pops), and the spawn event dispatches through the normal queue, so
-    respawns are bit-identical across queue kinds and host [-j]. The body runs cold: caches and SMR slots were torn down at
-    retirement. Counts one [thread_spawns] and traces [Thread_spawn].
+    respawns are bit-identical across host [-j]. The body runs cold:
+    caches and SMR slots were torn down at retirement. Counts one [thread_spawns] and traces [Thread_spawn].
     @raise Failure on an unknown tid, a tid that is still alive, a respawn
     already scheduled for this tid, or [at] before the thread's clock. *)
 

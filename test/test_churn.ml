@@ -2,9 +2,8 @@
    spawn/retire schedules, token-ring wraparound with shrinking
    membership, retirement edge cases (retire at t=0, retire-all,
    respawn-same-tid), the descriptive-failure contract of
-   [Sched.retire]/[Sched.respawn], churn-trial determinism across jobs
-   and event-queue kinds, and the metrics<->trace
-   cross-check of the churn counters. *)
+   [Sched.retire]/[Sched.respawn], churn-trial determinism across jobs,
+   and the metrics<->trace cross-check of the churn counters. *)
 
 open Simcore
 
@@ -286,17 +285,6 @@ let test_churn_jobs_bit_identical () =
       Alcotest.(check int) "no violations" 0 t.Runtime.Trial.violations)
     a
 
-let test_churn_queues_bit_identical () =
-  let base = { churn_cfg with Runtime.Config.trials = 1 } in
-  let digest cfg = Runtime.Trial.digest (Runtime.Runner.run_trial cfg ~seed:11) in
-  let reference = digest base in
-  List.iter
-    (fun (label, cfg) -> Alcotest.(check string) label reference (digest cfg))
-    [
-      ("queue=heap", { base with Runtime.Config.event_queue = Some Event_queue.Heap });
-      ("queue=wheel", { base with Runtime.Config.event_queue = Some Event_queue.Wheel });
-    ]
-
 let test_churn_trial_round_trip () =
   (* The churn counters are conditional JSON fields; a churn trial's
      digest must survive serialization like any other. *)
@@ -334,7 +322,6 @@ let suite =
       Helpers.quick "retire of bogus tids fails descriptively" test_retire_failures;
       Helpers.quick "respawn misuse fails descriptively" test_respawn_failures;
       Helpers.quick "churn trials bit-identical across jobs" test_churn_jobs_bit_identical;
-      Helpers.quick "churn trials bit-identical across queues" test_churn_queues_bit_identical;
       Helpers.quick "churn trial JSON round trip" test_churn_trial_round_trip;
       Helpers.quick "churn metrics match the trace" test_churn_metrics_match_trace;
     ] )

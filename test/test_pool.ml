@@ -39,6 +39,34 @@ let test_parse_jobs () =
   Alcotest.(check (option int)) "negative is invalid" None (Runtime.Pool.parse_jobs "-3");
   Alcotest.(check (option int)) "garbage is invalid" None (Runtime.Pool.parse_jobs "many")
 
+(* Run [f] with EPOCHS_JOBS set to [v], restoring the previous value (an
+   empty value reads as unset). *)
+let with_jobs_env v f =
+  let saved = Option.value (Sys.getenv_opt Runtime.Pool.env_var) ~default:"" in
+  Unix.putenv Runtime.Pool.env_var v;
+  Fun.protect ~finally:(fun () -> Unix.putenv Runtime.Pool.env_var saved) f
+
+let test_resolve_jobs () =
+  let check = Alcotest.(check (result int string)) in
+  check "explicit" (Ok 3) (Runtime.Pool.resolve_jobs (Some 3));
+  check "zero" (Error "jobs (-j) must be at least 1, got 0") (Runtime.Pool.resolve_jobs (Some 0));
+  check "negative" (Error "jobs (-j) must be at least 1, got -2")
+    (Runtime.Pool.resolve_jobs (Some (-2)));
+  with_jobs_env "abc" (fun () ->
+      check "malformed EPOCHS_JOBS" (Error "EPOCHS_JOBS=\"abc\" is not a positive integer")
+        (Runtime.Pool.resolve_jobs None);
+      check "explicit -j wins over the environment" (Ok 2) (Runtime.Pool.resolve_jobs (Some 2));
+      Alcotest.check_raises "default_jobs raises"
+        (Invalid_argument "EPOCHS_JOBS=\"abc\" is not a positive integer") (fun () ->
+          ignore (Runtime.Pool.default_jobs ())));
+  with_jobs_env "0" (fun () ->
+      check "zero EPOCHS_JOBS" (Error "EPOCHS_JOBS=\"0\" is not a positive integer")
+        (Runtime.Pool.resolve_jobs None));
+  with_jobs_env " 5 " (fun () -> check "EPOCHS_JOBS" (Ok 5) (Runtime.Pool.resolve_jobs None));
+  with_jobs_env "" (fun () ->
+      check "empty EPOCHS_JOBS is unset" (Ok (Domain.recommended_domain_count ()))
+        (Runtime.Pool.resolve_jobs None))
+
 (* The determinism contract on real simulations: for suite entries of the
    regression harness, a 4-domain run of [Runner.run] must produce exactly
    the digest list of a sequential run. Any shared mutable state leaking
@@ -79,6 +107,7 @@ let suite =
       Helpers.quick "map_sequential_when_jobs_1" test_map_sequential_when_jobs_1;
       Helpers.quick "map_propagates_exception" test_map_propagates_exception;
       Helpers.quick "parse_jobs" test_parse_jobs;
+      Helpers.quick "resolve_jobs" test_resolve_jobs;
       Helpers.quick "parallel_matches_sequential" test_parallel_matches_sequential;
       Helpers.quick "parallel_trial_seeds" test_parallel_trial_seeds;
     ] )

@@ -180,10 +180,9 @@ let test_oversubscription () =
 
 (* -- dispatch order ------------------------------------------------------ *)
 
-(* One seeded workload, schedulable many ways: every thread does a random
-   amount of work between checkpoints, and we log (tid, clock) at each
-   step. The log captures the full dispatch order, so equality across
-   queue kinds and compatibility parameters is equality of schedules. *)
+(* One seeded workload: every thread does a random amount of work between
+   checkpoints, and we log (tid, clock) at each step. The log captures the
+   full dispatch order, so equality of logs is equality of schedules. *)
 let dispatch_log ?event_queue ?shards ?epsilon ~n () =
   let log = ref [] in
   let sched = Helpers.make_sched ~n ~seed:123 ?event_queue ?shards ?epsilon () in
@@ -199,38 +198,38 @@ let dispatch_log ?event_queue ?shards ?epsilon ~n () =
   Sched.run sched;
   (sched, List.rev !log)
 
+let log_digest log =
+  let b = Buffer.create (16 * List.length log) in
+  List.iter (fun (tid, clock) -> Printf.bprintf b "%d:%d;" tid clock) log;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The pinned digests are the dispatch order from before the 4-ary heap,
+   when two independent queue implementations agreed on it. Any change to
+   the event queue must keep this exact (key, seq) order. *)
 let test_queue_schedule_identical () =
-  (* n=192 populates all four sockets. Heap and wheel must dispatch in
-     exactly the same (key, seq) order. *)
-  let _, reference = dispatch_log ~n:192 () in
-  List.iter
-    (fun (name, event_queue) ->
-      let _, log = dispatch_log ~event_queue ~n:192 () in
-      Alcotest.(check bool) (name ^ " matches the default queue") true (log = reference))
-    [ ("heap", Event_queue.Heap); ("wheel", Event_queue.Wheel) ]
+  (* n=192 populates all four sockets. *)
+  let _, log = dispatch_log ~n:192 () in
+  Alcotest.(check int) "events dispatched" 960 (List.length log);
+  Alcotest.(check string) "dispatch order" "be586733c752a904d9667177e9d6ad1b" (log_digest log)
 
 let test_queue_run_until_identical () =
-  (* Same equality under the bounded loop: the deadline cuts both queues at
-     the same event. *)
-  let run event_queue =
-    let log = ref [] in
-    let sched = Helpers.make_sched ~n:96 ~seed:31 ~event_queue () in
-    Array.iter
-      (fun th ->
-        Sched.spawn sched th (fun th ->
-            for _ = 1 to 50 do
-              Sched.work ~scaled:false th Metrics.Ds (1 + Rng.int_below th.Sched.rng 500);
-              log := (th.Sched.tid, Sched.now th) :: !log;
-              Sched.checkpoint th
-            done))
-      (Sched.threads sched);
-    Sched.set_hard_deadline sched 5_000;
-    Sched.run_until sched;
-    List.rev !log
-  in
-  let heap = run Event_queue.Heap in
-  Alcotest.(check bool) "deadline cut something" true (List.length heap < 96 * 50);
-  Alcotest.(check bool) "bounded runs match" true (heap = run Event_queue.Wheel)
+  (* The same under the bounded loop: the deadline cuts at the same event. *)
+  let log = ref [] in
+  let sched = Helpers.make_sched ~n:96 ~seed:31 () in
+  Array.iter
+    (fun th ->
+      Sched.spawn sched th (fun th ->
+          for _ = 1 to 50 do
+            Sched.work ~scaled:false th Metrics.Ds (1 + Rng.int_below th.Sched.rng 500);
+            log := (th.Sched.tid, Sched.now th) :: !log;
+            Sched.checkpoint th
+          done))
+    (Sched.threads sched);
+  Sched.set_hard_deadline sched 5_000;
+  Sched.run_until sched;
+  let log = List.rev !log in
+  Alcotest.(check int) "events dispatched before the deadline" 2046 (List.length log);
+  Alcotest.(check string) "dispatch order" "cc6d0f928dfbe1b70fb050369d3e46b3" (log_digest log)
 
 let test_yield_counters () =
   (* The yields/elided_yields counters must account for every checkpoint. *)
@@ -294,8 +293,8 @@ let test_epsilon_zero_invisible () =
   (* Passing the compatibility values explicitly must not perturb the
      schedule: the full dispatch log equals the one built without them. *)
   let _, reference = dispatch_log ~n:192 () in
-  let _, explicit = dispatch_log ~shards:1 ~epsilon:0 ~n:192 () in
-  Alcotest.(check bool) "shards=1 epsilon=0 log identical to default" true
+  let _, explicit = dispatch_log ~event_queue:Sched.Heap ~shards:1 ~epsilon:0 ~n:192 () in
+  Alcotest.(check bool) "event_queue=Heap shards=1 epsilon=0 log identical to default" true
     (explicit = reference)
 
 let suite =
