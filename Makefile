@@ -101,10 +101,11 @@ trace-paper:
 		--out paper-trace-results.json --bench-out paper-trace-bench.json
 
 # Host-performance benchmark smoke (perfbench/README.md): one-second runs
-# of the traced span path on the pr tier and of the 192-thread paper
+# of the traced span path on the pr tier, of the 192-thread paper
 # workload at a seed whose token entry once reported false grace-period
-# violations. Each run's last line must report "correct": true (every
-# digest matched its baseline and no trial failed).
+# violations, and of the traced export path (record, profile, Chrome
+# export, render). Each run's last line must report "correct": true
+# (every digest matched its baseline and no trial failed).
 PERFBENCH = ./_build/default/perfbench/perfbench.exe
 perfbench-smoke:
 	@mkdir -p $(ART)
@@ -113,6 +114,8 @@ perfbench-smoke:
 	tail -n 1 $(ART)/perfbench-pr.txt | grep -qF '"correct": true'
 	$(PERFBENCH) run --workload paper-n192 --seed 46 --seconds 1 | tee $(ART)/perfbench-paper.txt
 	tail -n 1 $(ART)/perfbench-paper.txt | grep -qF '"correct": true'
+	$(PERFBENCH) run --workload trace-export --seconds 1 | tee $(ART)/perfbench-trace.txt
+	tail -n 1 $(ART)/perfbench-trace.txt | grep -qF '"correct": true'
 
 # Gating form of bench-diff: fail on >25% wall-clock regression of any
 # suite entry vs the cached previous BENCH file. CI skips the gate when the

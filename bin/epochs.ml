@@ -10,18 +10,29 @@
 
 open Cmdliner
 
+(* Name-valued flags accept exactly the names their registry lists, so a
+   bad name is a usage error that lists the valid ones. *)
+let choice names = Arg.enum (List.map (fun n -> (n, n)) names)
+let smr_names = Smr.Smr_registry.names @ List.map (fun n -> n ^ "_af") Smr.Smr_registry.names
+
 let ds_arg =
-  Arg.(value & opt string "abtree" & info [ "ds" ] ~docv:"NAME" ~doc:"Data structure (abtree, occtree, dgt, skiplist, list).")
+  Arg.(
+    value
+    & opt (choice Ds.Ds_registry.names) "abtree"
+    & info [ "ds" ] ~docv:"NAME" ~doc:("Data structure: " ^ doc_alts Ds.Ds_registry.names ^ "."))
 
 let smr_arg =
   Arg.(
     value
-    & opt string "debra"
+    & opt (choice smr_names) "debra"
     & info [ "smr" ] ~docv:"NAME"
         ~doc:"Reclaimer; append _af for amortized freeing (e.g. token_af).")
 
 let alloc_arg =
-  Arg.(value & opt string "jemalloc" & info [ "alloc" ] ~docv:"NAME" ~doc:"Allocator model (jemalloc, tcmalloc, mimalloc, leak).")
+  Arg.(
+    value
+    & opt (choice Alloc.Registry.names) "jemalloc"
+    & info [ "alloc" ] ~docv:"NAME" ~doc:("Allocator model: " ^ doc_alts Alloc.Registry.names ^ "."))
 
 (* Counts and durations: a value below 1 is a usage error naming the flag
    instead of a crash or an empty run. *)
@@ -37,7 +48,15 @@ let threads_arg =
   Arg.(value & opt pos_int 48 & info [ "threads"; "n" ] ~docv:"N" ~doc:"Simulated thread count.")
 
 let machine_arg =
-  Arg.(value & opt string "intel" & info [ "machine" ] ~docv:"NAME" ~doc:"Machine model (intel, intel144, amd).")
+  let machines =
+    Arg.enum
+      (List.map (fun n -> (n, Option.get (Simcore.Topology.by_name n))) Simcore.Topology.names)
+  in
+  Arg.(
+    value
+    & opt machines Simcore.Topology.intel_192t
+    & info [ "machine" ] ~docv:"NAME"
+        ~doc:("Machine model: " ^ doc_alts Simcore.Topology.names ^ "."))
 
 let keys_arg =
   Arg.(value & opt pos_int (1 lsl 14) & info [ "keys" ] ~docv:"K" ~doc:"Key range.")
@@ -101,9 +120,17 @@ let trace_capacity_arg =
            are kept and older ones are dropped.")
 
 let churn_arg =
+  let churn =
+    let parse spec =
+      match Runtime.Config.churn_of_spec spec with
+      | plan -> Ok plan
+      | exception Failure msg -> Error msg
+    in
+    Arg.conv' (parse, fun ppf plan -> Format.pp_print_string ppf (Runtime.Config.churn_name plan))
+  in
   Arg.(
     value
-    & opt (some string) None
+    & opt (some churn) None
     & info [ "churn" ] ~docv:"SPEC"
         ~doc:
           "Thread-churn plan: $(b,rolling:FIRST_NS:EVERY_NS:DOWN_NS) (rolling restart), \
@@ -111,14 +138,8 @@ let churn_arg =
            $(b,failover:AT_NS:SOCKET:DOWN_NS) (lose a socket). Times are virtual ns from \
            the start of the measured window; DOWN_NS < 0 means never respawn.")
 
-let config ?churn ds smr alloc threads machine keys duration trials seed validate
+let config ?churn ds smr alloc threads topology keys duration trials seed validate
     timeline af_drain zipf =
-  let topology =
-    match Simcore.Topology.by_name machine with
-    | Some t -> t
-    | None -> failwith (Printf.sprintf "unknown machine %S" machine)
-  in
-  let churn = Option.map Runtime.Config.churn_of_spec churn in
   {
     Runtime.Config.default with
     Runtime.Config.ds;
@@ -241,33 +262,31 @@ let run_cmd =
       $ drain_arg $ zipf_arg $ svg_arg $ jobs_arg $ trace_arg $ trace_capacity_arg
       $ churn_arg)
 
-let comma_list s = String.split_on_char ',' s |> List.map String.trim
-
 let sweep_cmd =
   let smrs_arg =
+    (* [all] / [all_af] expand from the registry, so a newly registered
+       reclaimer shows up in sweeps without touching the CLI. *)
+    let groups =
+      ("all", Smr.Smr_registry.names)
+      :: ("all_af", List.map (fun n -> n ^ "_af") Smr.Smr_registry.names)
+      :: List.map (fun n -> (n, [ n ])) smr_names
+    in
     Arg.(
       value
-      & opt string "debra,debra_af,token_af"
+      & opt (list (enum groups)) [ [ "debra" ]; [ "debra_af" ]; [ "token_af" ] ]
       & info [ "smr" ] ~docv:"NAMES"
           ~doc:
             "Comma-separated reclaimers; $(b,all) expands to every registered reclaimer, \
              $(b,all_af) to every amortized-free variant.")
   in
   let threads_list_arg =
-    Arg.(value & opt string "12,24,48,96,144,192" & info [ "threads" ] ~docv:"NS" ~doc:"Comma-separated thread counts.")
+    Arg.(
+      value
+      & opt (list pos_int) [ 12; 24; 48; 96; 144; 192 ]
+      & info [ "threads" ] ~docv:"NS" ~doc:"Comma-separated thread counts.")
   in
-  let run ds smrs alloc threads_list machine keys duration trials seed jobs churn =
-    (* [all] / [all_af] expand from the registry, so a newly registered
-       reclaimer shows up in sweeps without touching the CLI. *)
-    let smrs =
-      List.concat_map
-        (function
-          | "all" -> Smr.Smr_registry.names
-          | "all_af" -> List.map (fun n -> n ^ "_af") Smr.Smr_registry.names
-          | s -> [ s ])
-        (comma_list smrs)
-    in
-    let threads = comma_list threads_list |> List.map int_of_string in
+  let run ds smrs alloc threads machine keys duration trials seed jobs churn =
+    let smrs = List.concat smrs in
     let table = Report.Table.create ("smr \\ n" :: List.map string_of_int threads) in
     (* Every (smr, n) cell is independent: fan the whole grid out at once
        (cell-level beats trial-level here — the grid is much wider than
@@ -295,8 +314,8 @@ let sweep_cmd =
       $ duration_arg $ trials_arg $ seed_arg $ jobs_arg $ churn_arg)
 
 let compare_cmd =
-  let smr_a = Arg.(value & pos 0 string "debra" & info [] ~docv:"SMR_A") in
-  let smr_b = Arg.(value & pos 1 string "debra_af" & info [] ~docv:"SMR_B") in
+  let smr_a = Arg.(value & pos 0 (choice smr_names) "debra" & info [] ~docv:"SMR_A") in
+  let smr_b = Arg.(value & pos 1 (choice smr_names) "debra_af" & info [] ~docv:"SMR_B") in
   let run smr_a smr_b ds alloc threads machine keys duration trials seed =
     let mk smr =
       let cfg = config ds smr alloc threads machine keys duration trials seed false false 1 None in

@@ -32,9 +32,19 @@ let strategy_arg =
     & info [ "strategy" ] ~docv:"NAME"
         ~doc:"Exploration strategy (see $(b,list)), or $(b,all).")
 
+(* A budget below 1 would explore nothing and still exit 0: it is a usage
+   error instead. *)
 let budget_arg =
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | Some _ | None -> Error (Printf.sprintf "%S is not a positive integer" s)
+    in
+    Arg.conv' (parse, Format.pp_print_int)
+  in
   Arg.(
-    value & opt int 40
+    value & opt positive 40
     & info [ "budget" ] ~docv:"N" ~doc:"Schedules to explore per (scenario, strategy) pair.")
 
 let seed_arg =

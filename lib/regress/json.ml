@@ -54,67 +54,150 @@ let float_str f =
     let s = Printf.sprintf "%.12g" f in
     if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
-let add_escaped b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
+(* [render] runs in two passes over the tree: [size] counts the exact
+   output bytes, [write] fills one [Bytes] of that length, threading the
+   write position through its return value. No buffer grows, nothing is
+   copied out, and the final position must equal the count. Each [*_width]
+   below is the byte count of what the matching [put_*] writes. *)
+
+(* JSON has no literal for a non-finite float: it renders as a string. *)
+let nonfinite_name f = if Float.is_nan f then "nan" else if f > 0. then "inf" else "-inf"
+
+(* Decimal width of [i] as [string_of_int] prints it; counts on the
+   non-positive side so that [min_int] needs no special case. *)
+let int_width i =
+  let rec go n w = if n > -10 then w else go (n / 10) (w + 1) in
+  if i < 0 then go i 2 else go (-i) 1
+
+let put_int b pos i =
+  let w = int_width i in
+  let n = ref (if i < 0 then i else -i) in
+  for p = pos + w - 1 downto if i < 0 then pos + 1 else pos do
+    Bytes.set b p (Char.unsafe_chr (Char.code '0' - (!n mod 10)));
+    n := !n / 10
+  done;
+  if i < 0 then Bytes.set b pos '-';
+  pos + w
+
+let char_width = function
+  | '"' | '\\' | '\n' | '\r' | '\t' -> 2
+  | c when c < ' ' -> 6
+  | _ -> 1
+
+let escaped_width s =
+  let w = ref 2 in
+  for i = 0 to String.length s - 1 do
+    w := !w + char_width (String.unsafe_get s i)
+  done;
+  !w
+
+let hex = "0123456789abcdef"
+
+let put_escaped b pos s =
+  Bytes.set b pos '"';
+  let p = ref (pos + 1) in
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | ('"' | '\\' | '\n' | '\r' | '\t') as c ->
+        Bytes.set b !p '\\';
+        Bytes.set b (!p + 1) (match c with '\n' -> 'n' | '\r' -> 'r' | '\t' -> 't' | c -> c);
+        p := !p + 2
+    | c when c < ' ' ->
+        Bytes.blit_string "\\u00" 0 b !p 4;
+        Bytes.set b (!p + 4) hex.[Char.code c lsr 4];
+        Bytes.set b (!p + 5) hex.[Char.code c land 15];
+        p := !p + 6
+    | c ->
+        Bytes.set b !p c;
+        incr p
+  done;
+  Bytes.set b !p '"';
+  !p + 1
+
+let put_string b pos s =
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
 
 let render ?(minify = false) t =
-  let b = Buffer.create 256 in
-  let newline indent =
-    if not minify then begin
-      Buffer.add_char b '\n';
-      Buffer.add_string b (String.make indent ' ')
+  (* A line break before each item: "\n" plus the indent, when pretty. *)
+  let newline_width indent = if minify then 0 else 1 + indent in
+  let colon = if minify then ":" else ": " in
+  let rec size indent = function
+    | Null -> 4
+    | Bool v -> if v then 4 else 5
+    | Int i -> int_width i
+    | Float f ->
+        if Float.is_finite f then String.length (float_str f)
+        else escaped_width (nonfinite_name f)
+    | String s -> escaped_width s
+    | List [] | Assoc [] -> 2
+    | List items ->
+        let rec go acc = function
+          | [] -> acc
+          | v :: rest -> go (acc + 1 + newline_width (indent + 2) + size (indent + 2) v) rest
+        in
+        (* [go] counts a separator per item; the closing bracket takes the
+           place of the missing leading comma. *)
+        go 0 items + newline_width indent + 1
+    | Assoc fields ->
+        let rec go acc = function
+          | [] -> acc
+          | (k, v) :: rest ->
+              go
+                (acc + 1 + newline_width (indent + 2) + escaped_width k + String.length colon
+               + size (indent + 2) v)
+                rest
+        in
+        go 0 fields + newline_width indent + 1
+  in
+  let total = size 0 t + if minify then 0 else 1 in
+  let b = Bytes.create total in
+  let newline pos indent =
+    if minify then pos
+    else begin
+      Bytes.set b pos '\n';
+      Bytes.fill b (pos + 1) indent ' ';
+      pos + 1 + indent
     end
   in
-  let rec go indent = function
-    | Null -> Buffer.add_string b "null"
-    | Bool v -> Buffer.add_string b (if v then "true" else "false")
-    | Int i -> Buffer.add_string b (string_of_int i)
+  let rec write pos indent = function
+    | Null -> put_string b pos "null"
+    | Bool v -> put_string b pos (if v then "true" else "false")
+    | Int i -> put_int b pos i
     | Float f ->
-        if Float.is_nan f then add_escaped b "nan"
-        else if f = Float.infinity then add_escaped b "inf"
-        else if f = Float.neg_infinity then add_escaped b "-inf"
-        else Buffer.add_string b (float_str f)
-    | String s -> add_escaped b s
-    | List [] -> Buffer.add_string b "[]"
+        if Float.is_finite f then put_string b pos (float_str f)
+        else put_escaped b pos (nonfinite_name f)
+    | String s -> put_escaped b pos s
+    | List [] -> put_string b pos "[]"
+    | Assoc [] -> put_string b pos "{}"
     | List items ->
-        Buffer.add_char b '[';
-        List.iteri
-          (fun i item ->
-            if i > 0 then Buffer.add_char b ',';
-            newline (indent + 2);
-            go (indent + 2) item)
-          items;
-        newline indent;
-        Buffer.add_char b ']'
-    | Assoc [] -> Buffer.add_string b "{}"
+        let rec go pos sep = function
+          | [] -> pos
+          | v :: rest ->
+              Bytes.set b pos sep;
+              let pos = newline (pos + 1) (indent + 2) in
+              go (write pos (indent + 2) v) ',' rest
+        in
+        let pos = newline (go pos '[' items) indent in
+        Bytes.set b pos ']';
+        pos + 1
     | Assoc fields ->
-        Buffer.add_char b '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char b ',';
-            newline (indent + 2);
-            add_escaped b k;
-            Buffer.add_string b (if minify then ":" else ": ");
-            go (indent + 2) v)
-          fields;
-        newline indent;
-        Buffer.add_char b '}'
+        let rec go pos sep = function
+          | [] -> pos
+          | (k, v) :: rest ->
+              Bytes.set b pos sep;
+              let pos = newline (pos + 1) (indent + 2) in
+              let pos = put_string b (put_escaped b pos k) colon in
+              go (write pos (indent + 2) v) ',' rest
+        in
+        let pos = newline (go pos '{' fields) indent in
+        Bytes.set b pos '}';
+        pos + 1
   in
-  go 0 t;
-  if not minify then Buffer.add_char b '\n';
-  Buffer.contents b
+  let pos = write 0 0 t in
+  let pos = newline pos 0 in
+  assert (pos = total);
+  Bytes.unsafe_to_string b
 
 (* Recursive-descent parser over a byte offset. *)
 

@@ -1,12 +1,17 @@
 (** Minimal self-contained JSON, tuned for deterministic golden files.
 
     The regression harness (lib/regress) stores every baseline and result as
-    JSON so that diffs are reviewable and CI artifacts are greppable. The
-    container has no JSON package, and determinism matters more than speed
-    here: [render] is canonical — the same value always produces the same
-    bytes (fixed field order as given, fixed indentation, shortest
+    JSON so that diffs are reviewable and CI artifacts are greppable, and
+    the Chrome trace exporter renders through it. No JSON package is
+    assumed. [render] is canonical — the same value always produces the
+    same bytes (fixed field order as given, fixed indentation, shortest
     round-trip float form) — so byte-equality of files is a valid
-    same-output check and digests of rendered values are stable. *)
+    same-output check and digests of rendered values are stable.
+
+    [render] is exact-size: one pass counts the output bytes, a second
+    writes them into a single buffer of that length, and the two must
+    agree. Rendering an [n]-byte document allocates [n] bytes once, with
+    no growth copies, which matters for traces of tens of megabytes. *)
 
 type t =
   | Null
@@ -46,7 +51,8 @@ val mem : string -> t -> bool
 val render : ?minify:bool -> t -> string
 (** Canonical form: 2-space indent (or none with [~minify:true]), fields in
     the order given, floats in shortest form that round-trips through
-    [float_of_string]. Deterministic across runs and processes. *)
+    [float_of_string]. Deterministic across runs and processes. Shared
+    subtrees render as if copied. *)
 
 val float_str : float -> string
 (** The float formatting used by [render]; exposed for tests. *)

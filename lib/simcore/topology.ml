@@ -38,12 +38,13 @@ let amd_256c =
    in experiment sweeps. *)
 let tiny_8t = { name = "tiny-4s-8t"; sockets = 4; cores_per_socket = 2; smt = 1; ghz = 2.1 }
 
-let by_name = function
-  | "intel-4s-192t" | "intel" -> Some intel_192t
-  | "intel-4s-144c" | "intel144" -> Some intel_144c
-  | "amd-2s-256t" | "amd" -> Some amd_256c
-  | "tiny-4s-8t" | "tiny" -> Some tiny_8t
-  | _ -> None
+let named =
+  List.concat_map
+    (fun (alias, t) -> [ (t.name, t); (alias, t) ])
+    [ ("intel", intel_192t); ("intel144", intel_144c); ("amd", amd_256c); ("tiny", tiny_8t) ]
+
+let names = List.map fst named
+let by_name name = List.assoc_opt name named
 
 let all = [ intel_192t; intel_144c; amd_256c ]
 

@@ -34,6 +34,10 @@ val tiny_8t : t
 val by_name : string -> t option
 (** Lookup by name or alias ("intel", "intel144", "amd", "tiny"). *)
 
+val names : string list
+(** Every name {!by_name} resolves, each machine's full name followed by
+    its alias. *)
+
 val all : t list
 (** The measured machines only (excludes {!tiny_8t}). *)
 

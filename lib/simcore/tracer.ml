@@ -311,29 +311,27 @@ let recorded t = t.recorded
 let retained t = min t.recorded t.capacity
 let dropped t = t.recorded - retained t
 
+(* The event with emission index [s], which must still be retained. *)
+let event_at t s =
+  let i = s mod t.capacity in
+  {
+    seq = s;
+    kind = of_code t.kind_c.(i);
+    tid = t.tid_c.(i);
+    ts = t.ts_c.(i);
+    dur = t.dur_c.(i);
+    a = t.a_c.(i);
+    b = t.b_c.(i);
+  }
+
 let iter t f =
-  let first = t.recorded - retained t in
-  for s = first to t.recorded - 1 do
-    let i = s mod t.capacity in
-    f
-      {
-        seq = s;
-        kind = of_code t.kind_c.(i);
-        tid = t.tid_c.(i);
-        ts = t.ts_c.(i);
-        dur = t.dur_c.(i);
-        a = t.a_c.(i);
-        b = t.b_c.(i);
-      }
+  for s = t.recorded - retained t to t.recorded - 1 do
+    f (event_at t s)
   done
 
 let events t =
-  let out = Array.make (retained t) None in
-  let j = ref 0 in
-  iter t (fun e ->
-      out.(!j) <- Some e;
-      incr j);
-  Array.map (function Some e -> e | None -> assert false) out
+  let first = t.recorded - retained t in
+  Array.init (retained t) (fun j -> event_at t (first + j))
 
 (* Content digest of the retained events + intern table: the determinism
    witness ("same config, same seed, same schedule => same trace"), stable

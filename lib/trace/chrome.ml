@@ -10,28 +10,71 @@ let is_lock_kind = function
   | Tracer.Lock_wait | Tracer.Lock_acquire | Tracer.Lock_hold -> true
   | _ -> false
 
+(* Shared immutable nodes: the export allocates per event only what
+   depends on the event's own numbers. The fields that follow from the kind
+   (name, cat, pid) are built once per kind, and small ints and the tid
+   fields that hold them once per value. Rendering reads the tree without
+   regard to sharing, so the bytes are the same. *)
+let small = 256
+let ints = Array.init small (fun i -> Json.Int i)
+let int_node i = if i >= 0 && i < small then ints.(i) else Json.Int i
+let tid_fields = Array.init small (fun i -> ("tid", ints.(i)))
+let tid_field i = if i >= 0 && i < small then tid_fields.(i) else ("tid", Json.Int i)
+let ph_x = ("ph", Json.String "X")
+let ph_i = ("ph", Json.String "i")
+let scope_thread = ("s", Json.String "t")
+
+type kind_fields = { name_f : string * Json.t; cat_f : string * Json.t; pid_f : string * Json.t }
+
+(* Indexed by [Tracer.code] (all codes are below 32); codes that name no
+   kind stay [None]. *)
+let kind_fields =
+  let fields k =
+    let pid = pid_of_kind k in
+    {
+      name_f = ("name", Json.String (Tracer.kind_name k));
+      cat_f = ("cat", Json.String (if pid = 1 then "sched" else "sim"));
+      pid_f = ("pid", ints.(pid));
+    }
+  in
+  Array.init 32 (fun c ->
+      match Tracer.of_code c with k -> Some (fields k) | exception Invalid_argument _ -> None)
+
 let args_of tr (ev : Tracer.event) =
-  let base = [ ("a", Json.Int ev.Tracer.a); ("b", Json.Int ev.Tracer.b) ] in
+  let base = [ ("a", int_node ev.Tracer.a); ("b", int_node ev.Tracer.b) ] in
   if is_lock_kind ev.Tracer.kind then
     ("lock", Json.String (Tracer.name tr ev.Tracer.b)) :: base
   else base
 
+(* Most events carry an [a] and [b] below 16 (runs and yields: 0 or 1).
+   Unless they name a lock, they share their whole args field and, for
+   instants, every field after [ts]; [(a, b)] indexes [a * 16 + b]. *)
+let small_ab = 16
+
+let arg_tails =
+  Array.init (small_ab * small_ab) (fun i ->
+      [ ("args", Json.Assoc [ ("a", ints.(i / small_ab)); ("b", ints.(i mod small_ab)) ]) ])
+
+let instant_tails = Array.map (fun tail -> ph_i :: scope_thread :: tail) arg_tails
+
 let event_json tr (ev : Tracer.event) =
-  let common =
-    [
-      ("name", Json.String (Tracer.kind_name ev.Tracer.kind));
-      ("cat", Json.String (if pid_of_kind ev.Tracer.kind = 1 then "sched" else "sim"));
-      ("pid", Json.Int (pid_of_kind ev.Tracer.kind));
-      ("tid", Json.Int ev.Tracer.tid);
-      ("ts", Json.Int ev.Tracer.ts);
-    ]
+  let k = Option.get kind_fields.(Tracer.code ev.Tracer.kind) in
+  let a = ev.Tracer.a and b = ev.Tracer.b in
+  let shared =
+    a >= 0 && a < small_ab && b >= 0 && b < small_ab && not (is_lock_kind ev.Tracer.kind)
   in
+  let i = (a * small_ab) + b in
+  let tail = if shared then arg_tails.(i) else [ ("args", Json.Assoc (args_of tr ev)) ] in
   let shape =
-    if ev.Tracer.dur >= 0 then
-      [ ("ph", Json.String "X"); ("dur", Json.Int ev.Tracer.dur) ]
-    else [ ("ph", Json.String "i"); ("s", Json.String "t") ]
+    if ev.Tracer.dur >= 0 then ph_x :: ("dur", int_node ev.Tracer.dur) :: tail
+    else if shared then instant_tails.(i)
+    else ph_i :: scope_thread :: tail
   in
-  Json.Assoc (common @ shape @ [ ("args", Json.Assoc (args_of tr ev)) ])
+  Json.Assoc
+    (k.name_f :: k.cat_f :: k.pid_f
+    :: tid_field ev.Tracer.tid
+    :: ("ts", int_node ev.Tracer.ts)
+    :: shape)
 
 let metadata ~pid ~name =
   Json.Assoc
@@ -53,13 +96,16 @@ let compare_events (x : Tracer.event) (y : Tracer.event) =
 
 let export tr =
   let evs = Tracer.events tr in
-  Array.sort compare_events evs;
-  let body = Array.to_list (Array.map (event_json tr) evs) in
-  let meta = [ metadata ~pid:0 ~name:"workload"; metadata ~pid:1 ~name:"scheduler" ] in
+  (* [seq] is unique, so the order is total and stability changes nothing;
+     the merge sort is just faster than the heap sort of [Array.sort]. *)
+  Array.stable_sort compare_events evs;
+  let events = Array.fold_right (fun ev acc -> event_json tr ev :: acc) evs [] in
   let names = Array.to_list (Array.map (fun n -> Json.String n) (Tracer.names tr)) in
   Json.Assoc
     [
-      ("traceEvents", Json.List (meta @ body));
+      ( "traceEvents",
+        Json.List
+          (metadata ~pid:0 ~name:"workload" :: metadata ~pid:1 ~name:"scheduler" :: events) );
       ("displayTimeUnit", Json.String "ns");
       ( "otherData",
         Json.Assoc

@@ -54,6 +54,154 @@ let test_json_parse_errors () =
       | Error _ -> ())
     [ "{"; "[1,]"; "{\"a\" 1}"; "nul"; "\"unterminated"; "1 2"; "" ]
 
+(* The Buffer renderer that [Json.render] replaced, kept verbatim as the
+   reference: the exact-size renderer must match it byte for byte, since
+   every trial digest and baseline file is a rendering. *)
+module Oracle = struct
+  open Json
+
+  let add_escaped b s =
+    Buffer.add_char b '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.add_char b '"'
+
+  let render ?(minify = false) t =
+    let b = Buffer.create 256 in
+    let newline indent =
+      if not minify then begin
+        Buffer.add_char b '\n';
+        Buffer.add_string b (String.make indent ' ')
+      end
+    in
+    let rec go indent = function
+      | Null -> Buffer.add_string b "null"
+      | Bool v -> Buffer.add_string b (if v then "true" else "false")
+      | Int i -> Buffer.add_string b (string_of_int i)
+      | Float f ->
+          if Float.is_nan f then add_escaped b "nan"
+          else if f = Float.infinity then add_escaped b "inf"
+          else if f = Float.neg_infinity then add_escaped b "-inf"
+          else Buffer.add_string b (float_str f)
+      | String s -> add_escaped b s
+      | List [] -> Buffer.add_string b "[]"
+      | List items ->
+          Buffer.add_char b '[';
+          List.iteri
+            (fun i item ->
+              if i > 0 then Buffer.add_char b ',';
+              newline (indent + 2);
+              go (indent + 2) item)
+            items;
+          newline indent;
+          Buffer.add_char b ']'
+      | Assoc [] -> Buffer.add_string b "{}"
+      | Assoc fields ->
+          Buffer.add_char b '{';
+          List.iteri
+            (fun i (k, v) ->
+              if i > 0 then Buffer.add_char b ',';
+              newline (indent + 2);
+              add_escaped b k;
+              Buffer.add_string b (if minify then ":" else ": ");
+              go (indent + 2) v)
+            fields;
+          newline indent;
+          Buffer.add_char b '}'
+    in
+    go 0 t;
+    if not minify then Buffer.add_char b '\n';
+    Buffer.contents b
+end
+
+(* Values that reach every branch of the renderer: escapes, control and
+   high bytes in strings and keys, extreme ints, non-finite and
+   non-integral floats, empty and nested containers. *)
+let json_gen =
+  let open QCheck.Gen in
+  let char_gen =
+    frequency
+      [
+        (6, char_range 'a' 'z');
+        (2, oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; ' '; '/'; '\x7f' ]);
+        (2, map Char.chr (int_range 0 0x1f));
+        (1, map Char.chr (int_range 0x80 0xff));
+      ]
+  in
+  let str = string_size ~gen:char_gen (int_range 0 12) in
+  let int_gen =
+    frequency
+      [
+        (4, int_range (-1000) 1000);
+        (2, int);
+        (1, oneofl [ min_int; max_int; min_int + 1; max_int - 1; 0; -1; 9; 10; -10 ]);
+      ]
+  in
+  let float_gen =
+    frequency
+      [
+        (3, float);
+        (2, map (fun i -> float_of_int i /. 8.) (int_range (-10000) 10000));
+        ( 1,
+          oneofl
+            [ Float.nan; Float.infinity; Float.neg_infinity; 0.; -0.; 1e15; -1e15; 1e300; 1e-20; 0.1 ]
+        );
+      ]
+  in
+  let scalar =
+    frequency
+      [
+        (1, return Json.Null);
+        (1, map (fun b -> Json.Bool b) bool);
+        (3, map (fun i -> Json.Int i) int_gen);
+        (3, map (fun f -> Json.Float f) float_gen);
+        (3, map (fun s -> Json.String s) str);
+      ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self depth ->
+         if depth = 0 then scalar
+         else
+           frequency
+             [
+               (2, scalar);
+               (1, map (fun l -> Json.List l) (list_size (int_range 0 5) (self (depth - 1))));
+               ( 1,
+                 map
+                   (fun l -> Json.Assoc l)
+                   (list_size (int_range 0 5) (pair str (self (depth - 1)))) );
+             ])
+
+let prop_render_matches_oracle =
+  Helpers.prop ~count:500 "json render matches the Buffer renderer"
+    (QCheck.make ~print:(fun j -> Oracle.render ~minify:true j) json_gen)
+    (fun j ->
+      List.for_all (fun minify -> Json.render ~minify j = Oracle.render ~minify j) [ true; false ])
+
+(* Every committed baseline is a pretty rendering: parsing and rendering
+   it again must give back its exact bytes. *)
+let test_baselines_rerender () =
+  let dir = "../regress/baselines" in
+  let files = List.filter (fun f -> Filename.check_suffix f ".json") (Array.to_list (Sys.readdir dir)) in
+  Alcotest.(check bool) "baselines found" true (files <> []);
+  List.iter
+    (fun f ->
+      let path = Filename.concat dir f in
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      match Json.parse text with
+      | Error msg -> Alcotest.failf "%s: %s" f msg
+      | Ok doc -> Alcotest.(check bool) (f ^ " re-renders to its bytes") true (Json.render doc = text))
+    files
+
 (* --- Trial serialization and the digest invariant --------------------- *)
 
 let test_trial_json_round_trip () =
@@ -262,6 +410,8 @@ let suite =
       Helpers.quick "json_round_trip" test_json_round_trip;
       Helpers.quick "json_float_canonical" test_json_float_canonical;
       Helpers.quick "json_parse_errors" test_json_parse_errors;
+      prop_render_matches_oracle;
+      Helpers.quick "json_baselines_rerender" test_baselines_rerender;
       Helpers.quick "trial_json_round_trip" test_trial_json_round_trip;
       Helpers.quick "digest_deterministic" test_digest_deterministic;
       Helpers.quick "digest_seed_sensitive" test_digest_seed_sensitive;

@@ -315,6 +315,18 @@ let test_export_roundtrip () =
       Alcotest.(check (list string)) "reparsed doc validates" []
         (Simtrace.Chrome.validate doc)
 
+(* The rendered export of one fixed run, byte for byte: the MD5 and size
+   were recorded from the exporter and renderer as they stood before the
+   shared-node export and the exact-size render, so any change to the
+   bytes of a trace file shows here. *)
+let test_export_bytes_pinned () =
+  let _, tracer = run_traced (small_cfg ()) in
+  let doc = Simtrace.Chrome.export tracer in
+  Alcotest.(check (list string)) "validates" [] (Simtrace.Chrome.validate doc);
+  let text = Json.render doc in
+  Alcotest.(check int) "bytes" 1_528_622 (String.length text);
+  Alcotest.(check string) "md5" "c4ad7806f90bb416f55a479ab440cde6" (Digest.to_hex (Digest.string text))
+
 (* --- simcheck integration --------------------------------------------- *)
 
 (* Tracing a checker replay must not perturb the outcome digest, the same
@@ -357,5 +369,6 @@ let suite =
       Helpers.quick "export_after_wraparound" test_export_after_wraparound;
       Helpers.quick "validate_rejects_malformed" test_validate_rejects_malformed;
       Helpers.quick "export_roundtrip" test_export_roundtrip;
+      Helpers.quick "export_bytes_pinned" test_export_bytes_pinned;
       Helpers.quick "check_replay_traced" test_check_replay_traced;
     ] )
